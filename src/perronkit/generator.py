@@ -57,42 +57,36 @@ def generate(spec: GeneratorSpec, power_cfg: PowerMethodConfig | None = None) ->
     rng = np.random.default_rng(spec.seed)
     sizes = spec.block_sizes
     n = sum(sizes)
+    shape = TensorShape(3, n)
     blocks = _block_ranges(sizes)
-    entries: dict[tuple[int, ...], float] = {}
 
+    # Dense diagonal blocks, rows in lexicographic order block after block.
+    idx_parts, val_parts = [], []
     for block in blocks:
-        lo = block.start
         nb = len(block)
         vals = 1.0 - rng.random((nb, nb, nb))  # uniform on (0, 1]: surely positive
-        for a in range(nb):
-            for b in range(nb):
-                for c in range(nb):
-                    entries[(lo + a, lo + b, lo + c)] = vals[a, b, c]
-
-    radii = []
-    tensor = NonnegativeTensor(TensorShape(3, n), dict(entries))
-    for block in blocks:
-        radii.append(power_method(principal_subtensor(tensor, block), power_cfg).rho)
+        idx_parts.append(np.indices((nb, nb, nb)).reshape(3, -1).T + (block.start - 1))
+        val_parts.append(vals.ravel())
+    tensor = NonnegativeTensor._from_coo(
+        shape, np.concatenate(idx_parts), np.concatenate(val_parts)
+    )
+    radii = [power_method(principal_subtensor(tensor, block), power_cfg).rho for block in blocks]
     lam = max(radii) * spec.rt
+    val_parts[-1] = val_parts[-1] * (lam / radii[-1])
 
-    for j, block in enumerate(blocks[:-1]):
-        later = [i for blk in blocks[j + 1 :] for i in blk]
-        coords = [(s, u, v) for s in block for u in later for v in later]
-        mask = rng.random(len(coords)) < spec.den
-        chosen = [c for c, keep in zip(coords, mask) if keep]
-        if not chosen:
-            chosen = [coords[int(rng.integers(len(coords)))]]
-        vals = 1.0 - rng.random(len(chosen))
-        for coord, value in zip(chosen, vals):
-            entries[coord] = value
+    for block in blocks[:-1]:
+        rows = np.arange(block.start - 1, block.stop - 1)
+        later = np.arange(block.stop - 1, n)
+        coords = np.stack(np.meshgrid(rows, later, later, indexing="ij"), axis=-1).reshape(-1, 3)
+        chosen = coords[rng.random(len(coords)) < spec.den]
+        if not len(chosen):
+            chosen = coords[[int(rng.integers(len(coords)))]]
+        idx_parts.append(chosen)
+        val_parts.append(1.0 - rng.random(len(chosen)))
 
-    scale = lam / radii[-1]
-    for s in blocks[-1]:
-        for u in blocks[-1]:
-            for v in blocks[-1]:
-                entries[(s, u, v)] *= scale
-
-    return NonnegativeTensor(TensorShape(3, n), entries)
+    return NonnegativeTensor._from_coo(
+        shape, np.concatenate(idx_parts), np.concatenate(val_parts), sort=True
+    )
 
 
 def generate_not_strong(
@@ -110,22 +104,15 @@ def generate_not_strong(
         raise ValueError("generate_not_strong needs at least two blocks")
     base = generate(spec, power_cfg)
     blocks = _block_ranges(spec.block_sizes)
-    first = set(blocks[0])
     lam = power_method(principal_subtensor(base, blocks[-1]), power_cfg).rho
     rho_first = power_method(principal_subtensor(base, blocks[0]), power_cfg).rho
 
-    entries = dict(base.entries)
+    in_first = base.idx < len(blocks[0])
+    inside = np.all(in_first, axis=1)
+    vals = base.vals.copy()
     if spec.seed % 2 == 0:
-        scale = 2 * lam / rho_first
-        for key in base.entries:
-            if all(i in first for i in key):
-                entries[key] *= scale
-    else:
-        scale = lam / (2 * rho_first)
-        for key in base.entries:
-            if key[0] in first:
-                if all(i in first for i in key):
-                    entries[key] *= scale
-                else:
-                    del entries[key]
-    return NonnegativeTensor(base.shape, entries)
+        vals[inside] *= 2 * lam / rho_first
+        return NonnegativeTensor._from_coo(base.shape, base.idx, vals)
+    vals[inside] *= lam / (2 * rho_first)
+    keep = inside | ~in_first[:, 0]
+    return NonnegativeTensor._from_coo(base.shape, base.idx[keep], vals[keep])

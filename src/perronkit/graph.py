@@ -31,12 +31,15 @@ def majorization(A: NonnegativeTensor) -> np.ndarray:
     in its tail, regardless of multiplicity.
     """
     n = A.dim
-    M = np.zeros((n, n))
-    for key, value in A.entries.items():
-        i = key[0] - 1
-        for j in set(key[1:]):
-            M[i, j - 1] += value
-    return M
+    # Sorting each tail puts repeated indices side by side, so the first of
+    # each run marks a distinct index.  bincount then adds the values into
+    # each cell in idx row order.
+    tails = np.sort(A.idx[:, 1:], axis=1)
+    distinct = np.ones(tails.shape, dtype=bool)
+    distinct[:, 1:] = tails[:, 1:] != tails[:, :-1]
+    cells = (A.idx[:, :1] * n + tails)[distinct]
+    weights = np.broadcast_to(A.vals[:, None], tails.shape)[distinct]
+    return np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
 
 
 def _adjacency(M: np.ndarray) -> list[list[int]]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .graph import is_irreducible, majorization, scc_condensation
 from .tensor import IndexPermutation, NonnegativeTensor, principal_subtensor
 
@@ -44,11 +46,9 @@ def is_genuine(A: NonnegativeTensor, I: Iterable[int]) -> bool:
     The caller is responsible for I inducing a weakly irreducible block;
     this predicate only scans the entry pattern.
     """
-    members = set(int(i) for i in I)
-    for key in A.entries:
-        if key[0] in members and not all(i in members for i in key[1:]):
-            return False
-    return True
+    members = np.zeros(A.dim, dtype=bool)
+    members[np.array(list(I), dtype=np.intp) - 1] = True
+    return bool(members[A.idx[members[A.idx[:, 0]]]].all())
 
 
 def _refine(A: NonnegativeTensor, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -102,23 +102,21 @@ def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
     seen = [i for block in P.blocks for i in block]
     if sorted(seen) != list(range(1, n + 1)):
         raise ValueError("blocks do not partition [1, n]")
-    block_of = {}
+    block_of = np.empty(n, dtype=np.intp)
     for j, block in enumerate(P.blocks):
-        for i in block:
-            block_of[i] = j
+        block_of[np.array(block) - 1] = j
 
     for block in P.blocks:
         if not is_irreducible(majorization(principal_subtensor(A, block))):
             return False
 
-    escapes_later = [False] * len(P.blocks)
-    for key in A.entries:
-        j = block_of[key[0]]
-        tail_blocks = [block_of[i] for i in key[1:]]
-        if max(tail_blocks) <= j and min(tail_blocks) < j:
-            return False
-        if max(tail_blocks) > j:
-            escapes_later[j] = True
+    row_block = block_of[A.idx[:, 0]]
+    tail_blocks = block_of[A.idx[:, 1:]]
+    latest, earliest = tail_blocks.max(axis=1), tail_blocks.min(axis=1)
+    if np.any((latest <= row_block) & (earliest < row_block)):
+        return False
+    escapes_later = np.zeros(len(P.blocks), dtype=bool)
+    escapes_later[row_block[latest > row_block]] = True
 
     for j, (flag, block) in enumerate(zip(P.genuine, P.blocks)):
         if flag != is_genuine(A, block):

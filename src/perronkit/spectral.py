@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +85,18 @@ def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]
 
 
 def _plus_identity(B: NonnegativeTensor) -> NonnegativeTensor:
-    entries = dict(B.entries)
-    m = B.order
-    for i in range(1, B.dim + 1):
-        key = (i,) * m
-        entries[key] = entries.get(key, 0.0) + 1.0
-    return NonnegativeTensor(B.shape, entries)
+    # B + I as stored entries: 1.0 added to each stored diagonal, a unit entry
+    # where a diagonal is missing.  Shifting inside apply this way rounds
+    # differently from apply(B, x) + x**(m-1) and keeps the printed radii.
+    diagonal = np.all(B.idx == B.idx[:, :1], axis=1)
+    vals = B.vals.copy()
+    vals[diagonal] += 1.0
+    missing = np.ones(B.dim, dtype=bool)
+    missing[B.idx[diagonal, 0]] = False
+    new = np.flatnonzero(missing)
+    idx = np.concatenate([B.idx, np.repeat(new[:, None], B.order, axis=1)])
+    vals = np.concatenate([vals, np.ones(len(new))])
+    return NonnegativeTensor._from_coo(B.shape, idx, vals, sort=True)
 
 
 def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> BlockSpectrum:
@@ -113,7 +117,7 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
     cfg = cfg or PowerMethodConfig()
     m, n = B.order, B.dim
     if n == 1:
-        rho = B.entries.get((1,) * m, 0.0)
+        rho = float(B.vals[0]) if B.nnz else 0.0
         return BlockSpectrum(rho=rho, vector=np.ones(1), iterations=0, gap=0.0)
 
     shift = 1.0 if cfg.shift else 0.0
@@ -162,30 +166,12 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
     )
 
 
-def _solver_threads() -> int:
-    raw = os.environ.get("PERRONKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def block_spectra(
     A: NonnegativeTensor, cfg: PowerMethodConfig | None = None
 ) -> tuple[CanonicalPartition, list[BlockSpectrum]]:
-    """Canonical partition of A plus the spectrum of every block, in block order.
-
-    Independent blocks may be solved concurrently; the PERRONKIT_THREADS
-    environment variable caps the worker count (default 1, sequential).
-    """
+    """Canonical partition of A plus the spectrum of every block, in block order."""
     P = canonical_partition(A)
-    subtensors = [principal_subtensor(A, block) for block in P.blocks]
-    workers = min(_solver_threads(), len(subtensors))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            spectra = list(pool.map(lambda sub: power_method(sub, cfg), subtensors))
-    else:
-        spectra = [power_method(sub, cfg) for sub in subtensors]
+    spectra = [power_method(principal_subtensor(A, block), cfg) for block in P.blocks]
     return P, spectra
 
 

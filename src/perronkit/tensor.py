@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -36,34 +37,62 @@ class TensorShape:
             raise ValueError(f"tensor dimension must be >= 1, got {self.dim}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class NonnegativeTensor:
-    """Order-m, dimension-n tensor with nonnegative entries in sparse coordinate form.
+    """Order-m, dimension-n tensor with nonnegative entries in sorted COO form.
 
-    Entries are kept as a map from 1-based index tuples ``(i1, ..., im)`` to
-    positive values.  Zero values supplied at construction are dropped, so
-    "stored entry" and "nonzero entry" coincide.  Instances are immutable.
+    ``idx`` is an nnz x m array of 0-based indices whose rows are distinct and
+    in lexicographic order; ``vals`` holds the matching positive values.  The
+    constructor takes a map from 1-based index tuples ``(i1, ..., im)`` to
+    values and drops zeros, so "stored entry" and "nonzero entry" coincide.
+    ``entries`` gives the same data back as a read-only map of that form.
+    Instances and their arrays are immutable.
     """
 
     shape: TensorShape
-    entries: Mapping[tuple[int, ...], float] = field(default_factory=dict)
+    idx: np.ndarray
+    vals: np.ndarray
 
-    def __post_init__(self) -> None:
-        m, n = self.shape.order, self.shape.dim
-        clean: dict[tuple[int, ...], float] = {}
-        for key, value in self.entries.items():
-            key = tuple(int(i) for i in key)
-            if len(key) != m:
-                raise ValueError(f"index tuple {key} has {len(key)} indices, expected {m}")
-            for i in key:
-                if not 1 <= i <= n:
-                    raise ValueError(f"index {i} out of range [1, {n}] in tuple {key}")
-            value = float(value)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"entry {key} has invalid value {value}; must be finite and >= 0")
-            if value > 0.0:
-                clean[key] = value
-        object.__setattr__(self, "entries", clean)
+    def __init__(self, shape: TensorShape, entries: Mapping | None = None) -> None:
+        m, n = shape.order, shape.dim
+        entries = entries or {}
+        keys = list(entries)
+        try:
+            idx = np.array(keys, dtype=np.intp).reshape(len(keys), m)
+        except (TypeError, ValueError):
+            raise ValueError(f"every index tuple must hold {m} integer indices") from None
+        bad = np.argwhere((idx < 1) | (idx > n))
+        if len(bad):
+            r, c = bad[0]
+            raise ValueError(f"index {idx[r, c]} out of range [1, {n}] in tuple {keys[r]}")
+        vals = np.array(list(entries.values()), dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0))
+        if len(bad):
+            r = bad[0]
+            raise ValueError(f"entry {keys[r]} has invalid value {vals[r]}; must be finite and >= 0")
+        keep = vals > 0
+        self._set(shape, idx[keep] - 1, vals[keep], sort=True)
+        if np.any(np.all(self.idx[1:] == self.idx[:-1], axis=1)):
+            raise ValueError("two index tuples name the same entry")
+
+    @classmethod
+    def _from_coo(cls, shape: TensorShape, idx, vals, sort: bool = False) -> NonnegativeTensor:
+        # Trusted constructor: idx (intp) rows distinct, 0-based and in range,
+        # vals (float64) positive.  With sort the rows are ordered here.
+        A = cls.__new__(cls)
+        A._set(shape, idx, vals, sort)
+        return A
+
+    def _set(self, shape: TensorShape, idx, vals, sort: bool) -> None:
+        if sort:
+            order = np.lexsort(idx.T[::-1])
+            idx, vals = idx[order], vals[order]
+        idx = np.asfortranarray(idx)  # contiguous columns make apply's gathers fast
+        idx.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "idx", idx)
+        object.__setattr__(self, "vals", vals)
 
     @property
     def order(self) -> int:
@@ -75,26 +104,22 @@ class NonnegativeTensor:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.vals)
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, ...], float]:
+        """Read-only map from 1-based index tuples to values, in ``idx`` order."""
+        keys = map(tuple, (self.idx + 1).tolist())
+        return MappingProxyType(dict(zip(keys, self.vals.tolist())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NonnegativeTensor):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        same = self.shape == other.shape and np.array_equal(self.idx, other.idx)
+        return same and np.array_equal(self.vals, other.vals)
 
     def __repr__(self) -> str:
         return f"NonnegativeTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
-
-    @cached_property
-    def _packed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Entries packed in sorted tuple order so contraction accumulates
-        # in a reproducible sequence.
-        keys = sorted(self.entries)
-        rows = np.array([k[0] - 1 for k in keys], dtype=np.intp)
-        tails = np.array([[i - 1 for i in k[1:]] for k in keys], dtype=np.intp)
-        tails = tails.reshape(len(keys), self.order - 1)
-        vals = np.array([self.entries[k] for k in keys], dtype=np.float64)
-        return rows, tails, vals
 
 
 @dataclass(frozen=True)
@@ -138,18 +163,17 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     Returns the n-vector whose i-th component is
     ``sum over stored entries a[i, i2, ..., im] * x[i2] * ... * x[im]``,
     i.e. the left-hand side of the tensor eigenvalue equation.  Only stored
-    nonzeros contribute; accumulation order is fixed (sorted tuples) so the
+    nonzeros contribute; accumulation follows the sorted ``idx`` rows, so the
     result is bit-reproducible.
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.dim
     if x.shape != (n,):
         raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
-    rows, tails, vals = A._packed
-    if len(vals) == 0:
+    if A.nnz == 0:
         return np.zeros(n)
-    contrib = vals * np.prod(x[tails], axis=1)
-    return np.bincount(rows, weights=contrib, minlength=n)
+    contrib = A.vals * np.prod(x[A.idx[:, 1:]], axis=1)
+    return np.bincount(A.idx[:, 0], weights=contrib, minlength=n)
 
 
 def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTensor:
@@ -158,35 +182,36 @@ def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTe
     Keeps exactly the entries all of whose indices lie in I.  I must be a
     nonempty strictly increasing sequence of indices from [1, n].
     """
-    I = tuple(int(i) for i in I)
-    if not I:
+    I = np.array(list(I), dtype=np.intp)
+    if not len(I):
         raise ValueError("index set I must be nonempty")
     n = A.dim
-    for i in I:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range [1, {n}]")
-    if any(a >= b for a, b in zip(I, I[1:])):
-        raise ValueError(f"index set {I} must be strictly increasing")
-    local = {orig: pos for pos, orig in enumerate(I, start=1)}
-    entries = {}
-    for key, value in A.entries.items():
-        if all(i in local for i in key):
-            entries[tuple(local[i] for i in key)] = value
-    return NonnegativeTensor(TensorShape(A.order, len(I)), entries)
+    outside = I[(I < 1) | (I > n)]
+    if len(outside):
+        raise ValueError(f"index {outside[0]} out of range [1, {n}]")
+    if np.any(I[1:] <= I[:-1]):
+        raise ValueError(f"index set {tuple(I.tolist())} must be strictly increasing")
+    # An increasing relabelling keeps the surviving rows in lexicographic order.
+    local = np.full(n, -1, dtype=np.intp)
+    local[I - 1] = np.arange(len(I))
+    idx = local[A.idx]
+    keep = np.all(idx >= 0, axis=1)
+    return NonnegativeTensor._from_coo(TensorShape(A.order, len(I)), idx[keep], A.vals[keep])
 
 
 def identity_tensor(shape: TensorShape) -> NonnegativeTensor:
     """The tensor with unit super-diagonal entries; contracts any x to x**(m-1)."""
-    return NonnegativeTensor(shape, {(i,) * shape.order: 1.0 for i in range(1, shape.dim + 1)})
+    idx = np.repeat(np.arange(shape.dim)[:, None], shape.order, axis=1)
+    return NonnegativeTensor._from_coo(shape, idx, np.ones(shape.dim))
 
 
 def permute(A: NonnegativeTensor, sigma: IndexPermutation) -> NonnegativeTensor:
     """Relabel indices by sigma: the result B satisfies B[i1,...,im] = A[sigma(i1),...,sigma(im)]."""
     if len(sigma) != A.dim:
         raise ValueError(f"permutation on {len(sigma)} elements, tensor dimension {A.dim}")
-    inv = sigma.inverse()
-    entries = {tuple(inv(i) for i in key): value for key, value in A.entries.items()}
-    return NonnegativeTensor(A.shape, entries)
+    inv = np.empty(A.dim, dtype=np.intp)
+    inv[np.array(sigma.sigma) - 1] = np.arange(A.dim)
+    return NonnegativeTensor._from_coo(A.shape, inv[A.idx], A.vals, sort=True)
 
 
 def write_tensor(A: NonnegativeTensor, path) -> None:
@@ -197,8 +222,8 @@ def write_tensor(A: NonnegativeTensor, path) -> None:
     sorted tuple order, making the output byte-deterministic.
     """
     lines = [f"{A.order} {A.dim}"]
-    for key in sorted(A.entries):
-        lines.append(" ".join(str(i) for i in key) + " " + repr(A.entries[key]))
+    for key, value in zip((A.idx + 1).tolist(), A.vals.tolist()):
+        lines.append(" ".join(map(str, key)) + " " + repr(value))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -60,6 +60,17 @@ class TestMajorization:
         assert_allclose(majorization(A), expected)
         assert majorization(A)[0, 1] == 3.0
 
+    def test_matches_entry_loop_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            A = random_tensor(rng, m, n, nnz=30)
+            expected = np.zeros((n, n))
+            for key, value in A.entries.items():  # sorted tuple order
+                for j in set(key[1:]):
+                    expected[key[0] - 1, j - 1] += value
+            assert np.array_equal(majorization(A), expected)
+
     def test_restriction_commutes_when_rows_stay_inside(self):
         # If rows in I never reach outside I, the majorization of the
         # restriction equals the restricted majorization.

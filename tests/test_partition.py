@@ -113,6 +113,16 @@ class TestIsGenuine:
     def test_full_index_set(self, tiny_mixed):
         assert is_genuine(tiny_mixed, [1, 2, 3])
 
+    def test_matches_entry_loop(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            A = random_tensor(rng, m, n, nnz=int(rng.integers(1, 8)))
+            k = int(rng.integers(1, n + 1))
+            I = set(int(i) for i in rng.choice(np.arange(1, n + 1), k, replace=False))
+            expected = all(set(key) <= I for key in A.entries if key[0] in I)
+            assert is_genuine(A, sorted(I)) == expected
+
 
 class TestVerifyPartition:
     def test_canonical_output_always_verifies(self):

@@ -136,6 +136,19 @@ class TestPowerMethod:
         assert off.rho == pytest.approx(on.rho, abs=1e-9)
 
 
+    def test_shift_adds_identity_entrywise(self):
+        from perronkit.spectral import _plus_identity
+
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+            A = random_tensor(rng, m, n, nnz=int(rng.integers(0, 12)))
+            expected = dict(A.entries)
+            for i in range(1, n + 1):
+                expected[(i,) * m] = expected.get((i,) * m, 0.0) + 1.0
+            assert _plus_identity(A) == NonnegativeTensor(A.shape, expected)
+
+
 class TestCollatzWielandt:
     def test_eigenvector_collapses_bracket(self):
         A = all_ones_tensor(3, 2)
@@ -231,14 +244,6 @@ class TestBlockSpectra:
         assert_allclose(
             [sp.rho for sp in spectra], [1.3183, 1.2581, 2.6317, 3.1253], atol=1e-3
         )
-
-    def test_thread_env_var_does_not_change_results(self, four_blocks, monkeypatch):
-        _, seq = block_spectra(four_blocks)
-        monkeypatch.setenv("PERRONKIT_THREADS", "4")
-        _, par = block_spectra(four_blocks)
-        for a, b in zip(seq, par):
-            assert a.rho == b.rho
-            assert np.array_equal(a.vector, b.vector)
 
     def test_one_dimensional_zero_block_contributes_zero(self, tiny_mixed):
         _, spectra = block_spectra(tiny_mixed)

@@ -1,5 +1,7 @@
 """Tensor construction, contraction, restriction, permutation and file I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -47,6 +49,24 @@ class TestConstruction:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             NonnegativeTensor(TensorShape(3, 2), {(1, 1): 1.0})
+        with pytest.raises(ValueError):
+            NonnegativeTensor(TensorShape(3, 2), {(1, 1, 1): 1.0, (1, 1): 2.0})
+
+    def test_storage_is_sorted_and_immutable(self):
+        sorted_entries = {(1, 1, 2): 1.0, (1, 2, 1): 2.0, (2, 1, 1): 3.0, (2, 2, 2): 4.0}
+        A = NonnegativeTensor(TensorShape(3, 2), dict(reversed(sorted_entries.items())))
+        assert A == NonnegativeTensor(TensorShape(3, 2), sorted_entries)
+        rows = A.idx.tolist()
+        assert rows == sorted(rows)
+        with pytest.raises(TypeError):
+            A.entries[(1, 1, 1)] = 5.0
+        with pytest.raises(ValueError):
+            A.idx[0, 0] = 1
+        with pytest.raises(ValueError):
+            A.vals[0] = 5.0
+        for name in ("shape", "idx", "vals"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(A, name, getattr(A, name))
 
 
 class TestApply:
@@ -126,6 +146,21 @@ class TestPrincipalSubtensor:
             lhs = principal_subtensor(principal_subtensor(A, I), J_within)
             assert lhs == principal_subtensor(A, image)
 
+    def test_matches_entry_loop(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            A = random_tensor(rng, m, n, nnz=25)
+            k = int(rng.integers(1, n + 1))
+            I = tuple(sorted(int(i) for i in rng.choice(np.arange(1, n + 1), k, replace=False)))
+            local = {orig: pos for pos, orig in enumerate(I, start=1)}
+            expected = {
+                tuple(local[i] for i in key): v
+                for key, v in A.entries.items()
+                if all(i in local for i in key)
+            }
+            assert principal_subtensor(A, I).entries == expected
+
     def test_invalid_index_sets(self, tiny_mixed):
         with pytest.raises(ValueError):
             principal_subtensor(tiny_mixed, [])
@@ -186,6 +221,16 @@ class TestPermutation:
             sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
             tau = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
             assert permute(permute(A, sigma), tau) == permute(A, sigma.compose(tau))
+
+    def test_matches_entry_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            A = random_tensor(rng, m, n, nnz=25)
+            sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
+            inv = sigma.inverse()
+            expected = {tuple(inv(i) for i in key): v for key, v in A.entries.items()}
+            assert permute(A, sigma).entries == expected
 
     def test_inverse_roundtrip(self):
         sigma = IndexPermutation((3, 1, 2))
