@@ -35,6 +35,11 @@ class TensorShape:
             raise ValueError(f"tensor order must be >= 2, got {self.order}")
         if self.dim < 1:
             raise ValueError(f"tensor dimension must be >= 1, got {self.dim}")
+        limit = np.iinfo(np.intp).max  # indices and array shapes are intp
+        if max(self.order, self.dim) > limit:
+            raise ValueError(
+                f"tensor order and dimension must be <= {limit}, got {self.order} {self.dim}"
+            )
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -54,26 +59,15 @@ class NonnegativeTensor:
     vals: np.ndarray
 
     def __init__(self, shape: TensorShape, entries: Mapping | None = None) -> None:
-        m, n = shape.order, shape.dim
+        m = shape.order
         entries = entries or {}
         keys = list(entries)
         try:
             idx = np.array(keys, dtype=np.intp).reshape(len(keys), m)
         except (TypeError, ValueError):
             raise ValueError(f"every index tuple must hold {m} integer indices") from None
-        bad = np.argwhere((idx < 1) | (idx > n))
-        if len(bad):
-            r, c = bad[0]
-            raise ValueError(f"index {idx[r, c]} out of range [1, {n}] in tuple {keys[r]}")
         vals = np.array(list(entries.values()), dtype=np.float64)
-        bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0))
-        if len(bad):
-            r = bad[0]
-            raise ValueError(f"entry {keys[r]} has invalid value {vals[r]}; must be finite and >= 0")
-        keep = vals > 0
-        self._set(shape, idx[keep] - 1, vals[keep], sort=True)
-        if np.any(np.all(self.idx[1:] == self.idx[:-1], axis=1)):
-            raise ValueError("two index tuples name the same entry")
+        self._set(shape, *_checked_coo(shape.dim, idx, vals), sort=False)
 
     @classmethod
     def _from_coo(cls, shape: TensorShape, idx, vals, sort: bool = False) -> NonnegativeTensor:
@@ -157,6 +151,31 @@ class IndexPermutation:
         return IndexPermutation(tuple(self(other(i)) for i in range(1, len(self) + 1)))
 
 
+def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate 1-based index rows and their values, as they come from outside.
+
+    Returns the rows made 0-based and put in lexicographic order, with zero
+    values dropped.  Two equal rows are an error even when a value is zero.
+    """
+    bad = np.argwhere((idx < 1) | (idx > n))
+    if len(bad):
+        r, c = bad[0]
+        key = tuple(idx[r].tolist())
+        raise ValueError(f"index {idx[r, c]} out of range [1, {n}] in tuple {key}")
+    bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0))
+    if len(bad):
+        r = bad[0]
+        raise ValueError(
+            f"entry {tuple(idx[r].tolist())} has invalid value {vals[r]}; must be finite and >= 0"
+        )
+    order = np.lexsort(idx.T[::-1])
+    idx, vals = idx[order] - 1, vals[order]
+    if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
+        raise ValueError("two index tuples name the same entry")
+    keep = vals > 0
+    return idx[keep], vals[keep]
+
+
 def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     """Contract A with x in every slot but the first.
 
@@ -233,15 +252,60 @@ def read_tensor(path) -> NonnegativeTensor:
 
     Format::
 
-        # comment lines start with '#'
+        # a comment line: its first non-blank character is '#'
         m n
         i1 i2 ... im value
 
-    Indices are 1-based; values are nonnegative decimal literals.  Duplicate
-    index tuples are an error.
+    Indices are 1-based integer literals; values are finite nonnegative
+    decimal literals.  Blank lines are skipped.  Duplicate index tuples are
+    an error, even when a value is zero.  Errors name the offending line.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read()
+    try:
+        return _parse_tensor(raw)
+    except ValueError:
+        pass
+    # The line scan defines the format: it names the bad line, or reads the
+    # rare valid syntax numpy does not parse, such as a value written 1_0.
+    return _scan_tensor(raw)
+
+
+# Characters at which str.splitlines breaks a line but np.loadtxt does not.
+_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _parse_tensor(raw: str) -> NonnegativeTensor:
+    # One np.loadtxt call and array checks; raises ValueError on any input
+    # that is malformed or that the two parsers might read differently.
+    if any(c in raw for c in _LINE_BREAKS):
+        raise ValueError("unusual line break")
+    start = 0
+    while True:
+        end = raw.find("\n", start)
+        end = len(raw) if end < 0 else end
+        tokens = raw[start:end].split()
+        if tokens and not tokens[0].startswith("#"):
+            break
+        if end == len(raw):
+            raise ValueError("missing header")
+        start = end + 1
+    m, n = map(int, tokens)
+    shape = TensorShape(m, n)
+    body = raw[end + 1 :]
+    if "#" in body:
+        body = "\n".join(line for line in body.split("\n") if not line.lstrip().startswith("#"))
+    if not body.strip():
+        return NonnegativeTensor(shape)
+    if m > len(body):  # no line can hold m indices; loadtxt would allocate m-wide rows
+        raise ValueError("too few characters for one entry")
+    dtype = [("i", np.intp, (m,)), ("v", np.float64)]
+    rows = np.loadtxt(body.split("\n"), dtype=dtype, comments=None, ndmin=1)
+    return NonnegativeTensor._from_coo(shape, *_checked_coo(n, rows["i"], rows["v"]))
+
+
+def _scan_tensor(raw: str) -> NonnegativeTensor:
+    # The reference reader: one line at a time, so every error names its line.
     shape = None
     entries: dict[tuple[int, ...], float] = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -252,7 +316,10 @@ def read_tensor(path) -> NonnegativeTensor:
         if shape is None:
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: header must be 'm n', got {stripped!r}")
-            shape = TensorShape(int(tokens[0]), int(tokens[1]))
+            try:
+                shape = TensorShape(int(tokens[0]), int(tokens[1]))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             continue
         if len(tokens) != shape.order + 1:
             raise ValueError(

@@ -182,9 +182,33 @@ class TestErrorHandling:
 
     def test_malformed_file_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.tns"
-        bad.write_text("2 2\n1 1\n")
-        code = main(["radius", str(bad)])
-        assert code == 1
+        for text in [
+            "2 2\n1 1\n",
+            "3 2\n1 1 1 nan\n",
+            "3 2\n1 2.0 1 1\n",
+            "3 2\n1 1 1 1 2\n1 2 1\n",
+            "3 2\n1 1 1 1 # c\n",
+            "3 2\n1 1 1 0\n1 1 1 0\n",
+            "3 a\n1 1 1 1\n",
+            "1 5\n1 1\n",
+        ]:
+            bad.write_text(text)
+            code = main(["radius", str(bad)])
+            assert code == 1, text
+            err = capsys.readouterr().err
+            assert err.startswith("perronkit: line ") and err.count("\n") == 1, err
+
+    def test_huge_dimension_exits_1_without_traceback(self, tmp_path):
+        bad = tmp_path / "huge.tns"
+        bad.write_text("3 99999999999999999999\n1 1 1 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "perronkit.cli", "radius", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("perronkit: line 1: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_module_entry_point(fixture_file):

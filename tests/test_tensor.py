@@ -7,17 +7,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 from perronkit import (
+    GeneratorSpec,
     IndexPermutation,
     NonnegativeTensor,
     TensorShape,
     apply,
+    generate,
     identity_tensor,
     permute,
     principal_subtensor,
     read_tensor,
     write_tensor,
 )
+from perronkit import tensor as tensor_module
+from perronkit.examples import four_blocks_tensor
 from perronkit.selfcheck import random_tensor
+from perronkit.tensor import _scan_tensor
 from perronkit.verification import brute_force_apply, dense_view
 
 from conftest import all_ones_tensor
@@ -29,6 +34,8 @@ class TestConstruction:
             TensorShape(1, 3)
         with pytest.raises(ValueError):
             TensorShape(3, 0)
+        with pytest.raises(ValueError, match=f"<= {np.iinfo(np.intp).max}"):
+            TensorShape(3, 2**63)
 
     def test_zero_entries_dropped(self):
         A = NonnegativeTensor(TensorShape(2, 2), {(1, 1): 0.0, (1, 2): 2.0})
@@ -282,3 +289,75 @@ class TestFileFormat:
         path.write_text("# nothing else\n")
         with pytest.raises(ValueError, match="header"):
             read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["3 a", "3 2.0", "1 5", "3 0", "3 99999999999999999999", "99999999999999999999 3"],
+    )
+    def test_bad_header_names_its_line(self, tmp_path, header):
+        path = tmp_path / "h.tns"
+        path.write_text(f"# comment\n{header}\n1 1 1 1\n")
+        with pytest.raises(ValueError, match=r"^line 2: "):
+            read_tensor(path)
+
+    def test_reads_without_line_scan(self, tmp_path, monkeypatch):
+        def no_scan(raw):
+            raise AssertionError("the line scan ran")
+
+        monkeypatch.setattr(tensor_module, "_scan_tensor", no_scan)
+        generated = tmp_path / "gen.tns"
+        A = generate(GeneratorSpec((3, 4, 5), 1.3, 0.1, 7))
+        write_tensor(A, generated)
+        assert read_tensor(generated) == A
+        commented = tmp_path / "c.tns"
+        commented.write_text("# a\n  # b\n2 2\n\n1 2 0.5\n\t# c\n2 1 1.5\n#\n")
+        assert read_tensor(commented).entries == {(1, 2): 0.5, (2, 1): 1.5}
+        assert four_blocks_tensor().nnz > 0  # reads the bundled data file
+
+
+# Each input is read by read_tensor and by the line scan that defines the format.
+READER_CORPUS = {
+    "nan value": "3 2\n1 1 1 nan\n",
+    "inf value": "3 2\n1 1 1 inf\n",
+    "overflowing value": "3 2\n1 1 1 1e400\n",
+    "negative zero value": "3 2\n1 1 1 -0.0\n2 2 2 1\n",
+    "negative value": "3 2\n1 1 1 -1\n",
+    "fractional index": "3 2\n1 2.0 1 1\n",
+    "index out of range": "3 2\n1 3 1 1\n",
+    "index zero": "3 2\n0 1 1 1\n",
+    "cancelling token counts": "3 2\n1 1 1 1 2\n1 2 1\n",
+    "trailing comment": "3 2\n1 1 1 1 # c\n",
+    "tabs": "3 2\n1\t1 1\t0.5\n\t2 2 2 1\t\n",
+    "crlf": "3 2\r\n1 1 1 0.5\r\n2 2 2 1\r\n",
+    "whitespace-only lines": "3 2\n \t \n1 1 1 0.5\n   \n\n2 1 1 1\n",
+    "form feed inside a line": "3 2\n1 1\x0c1 1\n",
+    "comments before header and between entries": "# a\n  # b\n3 2\n1 1 1 0.5\n # c\n2 1 1 2\n#\n",
+    "comment lines only after header": "3 2\n# a\n#\n",
+    "no final newline": "3 2\n1 1 1 0.5\n2 2 2 1",
+    "header only": "3 2\n",
+    "unsorted entries": "3 2\n2 2 2 1\n1 2 1 0.25\n1 1 1 0.5\n",
+    "duplicate entries": "3 2\n1 2 1 0.5\n2 2 2 1\n1 2 1 0.7\n",
+    "duplicate zero-valued lines": "3 2\n1 1 1 0\n1 1 1 0\n",
+    "plus-signed index": "3 2\n+1 1 1 0.5\n",
+    "underscore in value": "3 2\n1 1 1 1_0\n",
+    "empty file": "",
+    "missing header": "# nothing else\n",
+    "header with one token": "3\n1 1 1 1\n",
+    "non-integer dimension": "3 2.0\n1 1 1 1\n",
+    "huge dimension": "3 99999999999999999999\n1 1 1 1\n",
+    "order one": "1 5\n1 1\n",
+    "order far above the line length": "1000000 3\n1 1 1 1\n",
+}
+
+
+@pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+def test_reader_matches_line_scan(tmp_path, text):
+    path = tmp_path / "t.tns"
+    path.write_bytes(text.encode("ascii"))
+    outcomes = []
+    for read in (read_tensor, lambda p: _scan_tensor(p.read_text(encoding="ascii"))):
+        try:
+            outcomes.append(read(path))
+        except ValueError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
