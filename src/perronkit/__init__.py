@@ -3,7 +3,7 @@
 Decides whether a nonnegative tensor admits a strictly positive Perron
 vector (is strongly nonnegative) and computes that vector when it does,
 via canonical nonnegative partition, a shifted higher-order power method,
-and a monotone fixed-point iteration.
+and a fixed-point iteration on the non-genuine components.
 """
 
 __version__ = "0.1.0"
@@ -15,7 +15,6 @@ from .perron import (
     Classification,
     FixedPointConfig,
     IterationRecord,
-    MonotonicityViolated,
     NotStronglyNonnegative,
     Outcome,
     PerronResult,
@@ -82,7 +81,6 @@ __all__ = [
     "PerronResult",
     "IterationRecord",
     "NotStronglyNonnegative",
-    "MonotonicityViolated",
     "classify",
     "positive_perron_vector",
     "fixed_point_step",

@@ -14,7 +14,6 @@ from .graph import majorization
 from .partition import canonical_partition
 from .perron import (
     FixedPointConfig,
-    MonotonicityViolated,
     NotStronglyNonnegative,
     classify,
     positive_perron_vector,
@@ -295,8 +294,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, NotConverged, MonotonicityViolated) as exc:
+    except (OSError, ValueError, NotConverged) as exc:
         print(f"perronkit: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"perronkit: out of memory: {str(exc) or 'input too large'}", file=sys.stderr)
         return 1
 
 

@@ -18,23 +18,18 @@ __all__ = [
     "PerronResult",
     "IterationRecord",
     "NotStronglyNonnegative",
-    "MonotonicityViolated",
     "classify",
     "positive_perron_vector",
     "fixed_point_step",
 ]
 
-# Componentwise dips beyond this are treated as a real monotonicity break
-# (gamma too large) rather than rounding noise.
-_MONOTONE_SLACK = 1e-12
-
-
 @dataclass(frozen=True)
 class FixedPointConfig:
     """Parameters of the fixed-point stage.
 
-    ``gamma`` scales the initial sub-vector on the non-genuine index set and
-    is shrunk tenfold (up to 6 restarts) if the iteration loses monotonicity.
+    ``gamma`` scales the initial sub-vector on the non-genuine index set; any
+    positive value converges to the same vector, and it decides only the
+    path (ascending from a small start, descending from a large one).
     ``tolerance`` is on the 2-norm of successive differences of that
     sub-vector; ``rho_equality_tol`` is the relative tolerance used when
     comparing block radii during classification.
@@ -97,9 +92,11 @@ class IterationRecord:
 class PerronResult:
     """A positive Perron vector ``z`` (original index labels) with eigenvalue ``lam``.
 
-    ``residual`` is the 2-norm of ``A z^{m-1} - lam z^{[m-1]}``; ``monotone``
-    reports whether the iterates increased at every step (up to rounding);
-    ``gamma`` is the initial scaling actually used after any restarts.
+    ``residual`` is the 2-norm of ``A z^{m-1} - lam z^{[m-1]}``. ``monotone``
+    is the ascent certificate: the first step lowered no component, i.e.
+    F(w0) >= w0 exactly, so every later step increases the iterates too.
+    ``False`` means the run converged without that certificate, not that it
+    failed.  ``gamma`` is the start scale.
     """
 
     z: np.ndarray
@@ -118,10 +115,6 @@ class NotStronglyNonnegative(Exception):
     def __init__(self, classification: Classification):
         super().__init__(f"tensor is not strongly nonnegative: {classification.outcome.value}")
         self.classification = classification
-
-
-class MonotonicityViolated(Exception):
-    """The fixed-point iterates dipped even at the smallest restart gamma."""
 
 
 def classify(
@@ -193,60 +186,6 @@ def fixed_point_step(
     return (apply(A, z)[r_idx] / lam) ** (1.0 / (A.order - 1))
 
 
-class _GammaTooLarge(Exception):
-    pass
-
-
-def _run_fixed_point(
-    A: NonnegativeTensor,
-    cls: Classification,
-    gamma: float,
-    cfg: FixedPointConfig,
-    y_genuine: np.ndarray,
-    r_idx: np.ndarray,
-) -> PerronResult:
-    P = cls.partition
-    lam = cls.lam
-    m = A.order
-    exponent = 1.0 / (m - 1)
-
-    w = gamma * np.concatenate(
-        [sp.vector for sp, g in zip(cls.block_spectra, P.genuine) if not g]
-    )
-    z = y_genuine.copy()
-    z[r_idx] = w
-    y = apply(A, z)
-    trace: list[IterationRecord] = []
-    for k in range(1, cfg.max_iterations + 1):
-        w_new = (y[r_idx] / lam) ** exponent
-        min_increment = float((w_new - w).min())
-        if min_increment < -_MONOTONE_SLACK:
-            raise _GammaTooLarge
-        z_new = z.copy()
-        z_new[r_idx] = w_new
-        y_new = apply(A, z_new)
-        residual = float(np.linalg.norm(y_new - lam * z_new ** (m - 1)))
-        step_norm = float(np.linalg.norm(w_new - w))
-        trace.append(IterationRecord(k, step_norm, residual, min_increment))
-        w, z, y = w_new, z_new, y_new
-        if step_norm <= cfg.tolerance:
-            return PerronResult(
-                z=z,
-                lam=lam,
-                residual=residual,
-                iterations=k,
-                monotone=True,
-                classification=cls,
-                gamma=gamma,
-                trace=tuple(trace),
-            )
-    raise NotConverged(
-        f"fixed-point step norm {trace[-1].step_norm:.3e} above tolerance "
-        f"{cfg.tolerance:.3e} after {cfg.max_iterations} iterations",
-        best=trace[-1],
-    )
-
-
 def positive_perron_vector(
     A: NonnegativeTensor,
     cfg: FixedPointConfig | None = None,
@@ -256,11 +195,14 @@ def positive_perron_vector(
 
     Classifies A first; on success the genuine blocks carry their unit-1-norm
     Perron vectors unchanged, while the non-genuine components start at
-    ``gamma`` times the block Perron vectors and follow the monotone
-    fixed-point update ``w <- ((A z^{m-1})_R / lam)^{[1/(m-1)]}`` until
-    successive differences fall below the tolerance.  A monotonicity break
-    signals that gamma was too large; the run restarts at gamma/10, up to six
-    times, before giving up with :class:`MonotonicityViolated`.
+    ``gamma`` times the block Perron vectors and follow the fixed-point update
+    ``w <- ((A z^{m-1})_R / lam)^{[1/(m-1)]}`` until the 2-norm of a step falls
+    to the tolerance.  With the genuine components fixed, this update is
+    order-preserving and subhomogeneous on R, and every index of R reaches a
+    genuine block, so it has exactly one positive fixed point z*.  Any
+    positive start lies between t*z* and T*z* for some 0 < t <= 1 <= T; the
+    iterates ascend from the lower bound, descend from the upper one and keep
+    the start's iterates between them, so every ``gamma`` reaches z*.
 
     Raises :class:`NotStronglyNonnegative` when no positive Perron vector
     exists and :class:`NotConverged` if the iteration budget runs out.
@@ -270,34 +212,38 @@ def positive_perron_vector(
     if not cls.is_strong:
         raise NotStronglyNonnegative(cls)
     P = cls.partition
-    m, n = A.order, A.dim
+    lam, m = cls.lam, A.order
+    exponent = 1.0 / (m - 1)
 
-    z = np.zeros(n)
+    z = np.zeros(A.dim)
     for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
-        if g:
-            z[np.array(block, dtype=np.intp) - 1] = sp.vector
-
-    if P.s == 0:
-        residual = float(np.linalg.norm(apply(A, z) - cls.lam * z ** (m - 1)))
-        return PerronResult(
-            z=z,
-            lam=cls.lam,
-            residual=residual,
-            iterations=0,
-            monotone=True,
-            classification=cls,
-            gamma=cfg.gamma,
-            trace=(),
-        )
-
-    y_genuine = z  # genuine components filled in, R components overwritten per run
+        z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
     r_idx = _nongenuine_positions(P)
-    gamma = cfg.gamma
-    for _ in range(7):
-        try:
-            return _run_fixed_point(A, cls, gamma, cfg, y_genuine, r_idx)
-        except _GammaTooLarge:
-            gamma /= 10
-    raise MonotonicityViolated(
-        f"iterates kept dipping down to gamma={gamma * 10:.1e}; no monotone run found"
+    y = apply(A, z)
+    trace: list[IterationRecord] = []
+    step_norm = np.inf if r_idx.size else 0.0
+    while step_norm > cfg.tolerance:
+        if len(trace) == cfg.max_iterations:
+            raise NotConverged(
+                f"fixed-point step norm {step_norm:.3e} above tolerance "
+                f"{cfg.tolerance:.3e} after {cfg.max_iterations} iterations",
+                best=trace[-1],
+            )
+        w = z[r_idx]
+        w_new = (y[r_idx] / lam) ** exponent
+        z[r_idx] = w_new
+        y = apply(A, z)
+        residual = float(np.linalg.norm(y - lam * z ** (m - 1)))
+        step = w_new - w
+        step_norm = float(np.linalg.norm(step))
+        trace.append(IterationRecord(len(trace) + 1, step_norm, residual, float(step.min())))
+    return PerronResult(
+        z=z,
+        lam=lam,
+        residual=float(np.linalg.norm(y - lam * z ** (m - 1))),
+        iterations=len(trace),
+        monotone=not trace or trace[0].min_increment >= 0,
+        classification=cls,
+        gamma=cfg.gamma,
+        trace=tuple(trace),
     )

@@ -211,8 +211,9 @@ def test_criterion_6_property_suite():
 
     # fixed-point monotonicity on generator instances, slack 1e-14; the
     # shapes mirror the reference experiments, dense enough that every row
-    # of a non-genuine block couples upward (the ascent certificate needs
-    # that; see README on sparse couplings)
+    # of a non-genuine block couples upward, so the small default start is a
+    # sub-solution and every step ascends.  Sparser inputs may start without
+    # ascent and still converge (test_perron.py::TestStartsWithoutAscent)
     worst_dip = 0.0
     sizes_pool = [(4, 5, 10), (8, 9, 10, 10), (5, 5, 8), (6, 10), (4, 4, 4, 8)]
     for seed in range(50):

@@ -98,6 +98,18 @@ class TestCommands:
         assert len(payload["vector"]) == 8
         assert all(v > 0 for v in payload["vector"])
 
+    def test_perron_without_ascent_from_start(self, capsys, tmp_path):
+        # the first fixed-point step lowers row 2 from the default start
+        path = tmp_path / "uncoupled_row.tns"
+        path.write_text("3 3\n1 2 2 1\n2 1 1 1\n1 3 3 1\n3 3 3 2\n")
+        code, out = run(capsys, "perron", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "perron")
+        assert payload["status"] == "strong"
+        assert payload["lambda"] == pytest.approx(2.0)
+        assert payload["vector"] == pytest.approx([(2 / 3) ** 0.5, (1 / 3) ** 0.5, 1.0], abs=1e-6)
+
     def test_perron_not_strong_exits_2(self, capsys, tmp_path):
         A = generate_not_strong(GeneratorSpec(block_sizes=(2, 2), rt=2.0, den=0.4, seed=1))
         path = tmp_path / "ns.tns"
@@ -209,6 +221,17 @@ class TestErrorHandling:
         assert proc.returncode == 1
         assert proc.stderr.startswith("perronkit: line 1: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.1 PiB")])
+    def test_out_of_memory_exits_1_with_one_line(self, capsys, monkeypatch, tiny_file, exc):
+        def allocate(A):
+            raise exc
+
+        monkeypatch.setattr("perronkit.cli.canonical_partition", allocate)
+        assert main(["partition", tiny_file]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("perronkit: out of memory: ") and err.count("\n") == 1, err
+        assert err.strip() != "perronkit: out of memory:"
 
 
 def test_module_entry_point(fixture_file):

@@ -1,5 +1,7 @@
 """Strong-nonnegativity classification and the positive Perron vector solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,8 +18,9 @@ from perronkit import (
     fixed_point_step,
     positive_perron_vector,
 )
+from perronkit.examples import FOUR_BLOCKS_REFERENCE
 from perronkit.generator import GeneratorSpec, generate, generate_not_strong
-from perronkit.verification import matrix_reference
+from perronkit.verification import brute_force_apply, dense_view, matrix_reference
 
 from conftest import all_ones_tensor
 
@@ -70,7 +73,7 @@ class TestPositivePerronVector:
         assert np.all(res.z > 0)
         assert res.residual < 1e-5
         assert res.monotone
-        assert res.gamma == 0.5  # no restart needed
+        assert res.gamma == 0.5  # the start scale as given
         # genuine block components pass through exactly
         sp = res.classification.block_spectra[-1]
         assert np.array_equal(res.z[6:], sp.vector)
@@ -101,24 +104,106 @@ class TestPositivePerronVector:
             positive_perron_vector(A)
         assert excinfo.value.classification.outcome is Outcome.GENUINE_RADII_DIFFER
 
-    def test_oversized_gamma_triggers_restart(self, four_blocks):
-        cfg = FixedPointConfig(gamma=50.0, tolerance=1e-6)
-        res = positive_perron_vector(four_blocks, cfg)
-        assert res.gamma < 50.0
-        assert res.monotone
-        assert res.residual < 1e-5
-
-    def test_restart_budget_exhausts_eventually(self, four_blocks):
-        from perronkit import MonotonicityViolated
-
-        cfg = FixedPointConfig(gamma=1e8, tolerance=1e-6)
-        with pytest.raises(MonotonicityViolated):
-            positive_perron_vector(four_blocks, cfg)
+    @pytest.mark.parametrize("gamma", [50.0, 1e8])
+    def test_oversized_gamma_descends_to_same_vector(self, four_blocks, gamma):
+        # a start above the fixed point descends to it; no restart, no error
+        ref = FOUR_BLOCKS_REFERENCE
+        res = positive_perron_vector(four_blocks, FixedPointConfig(gamma=gamma, tolerance=1e-8))
+        small = positive_perron_vector(four_blocks, FixedPointConfig(gamma=0.5, tolerance=1e-8))
+        assert res.gamma == gamma
+        assert not res.monotone  # the first step lowers some component
+        assert_allclose(res.z, small.z, rtol=0, atol=1e-6)
+        assert_allclose(res.z, ref["perron_vector"], rtol=0, atol=ref["perron_vector_tol"])
+        assert res.lam == pytest.approx(ref["rho"], abs=ref["rho_tol"])
+        assert res.residual < ref["residual_bound"]
 
     def test_result_is_eigenpair_of_input(self, four_blocks):
         res = positive_perron_vector(four_blocks, FixedPointConfig(gamma=0.5, tolerance=1e-8))
         lhs = apply(four_blocks, res.z)
         assert_allclose(lhs, res.lam * res.z**2, atol=1e-6)
+
+
+def assert_oracle_accepts(A, res):
+    """z > 0, relative residual <= 1e-6 and lam inside the Collatz-Wielandt
+    bracket at z, all from the brute-force contraction."""
+    z = res.z
+    assert np.all(z > 0)
+    lhs = brute_force_apply(dense_view(A), z)
+    rhs = res.lam * z ** (A.order - 1)
+    assert np.linalg.norm(lhs - rhs) <= 1e-6 * np.linalg.norm(rhs)
+    ratios = lhs / z ** (A.order - 1)
+    # a relative 1e-12 covers rounding in the ratios of the genuine rows
+    assert ratios.min() * (1 - 1e-12) <= res.lam <= ratios.max() * (1 + 1e-12)
+
+
+def uncoupled_row_tensor():
+    # R1: row 2 couples only into the non-genuine row 1, so the first step
+    # lowers it from the default start; lam = 2, z = (sqrt(2/3), sqrt(1/3), 1)
+    entries = {(1, 2, 2): 1.0, (2, 1, 1): 1.0, (1, 3, 3): 1.0, (3, 3, 3): 2.0}
+    return NonnegativeTensor(TensorShape(3, 3), entries)
+
+
+def chain_tensor(k):
+    # R3: k dense 3x3x3 blocks of 0.5 (radius 4.5) coupled one to the next by
+    # a[i, i, i+3] = 0.3, ending in a dense genuine block of 1.0 (radius 9)
+    entries = {}
+    for b in range(k + 1):
+        value = 1.0 if b == k else 0.5
+        block = range(3 * b + 1, 3 * b + 4)
+        for key in itertools.product(block, repeat=3):
+            entries[key] = value
+    for i in range(1, 3 * k + 1):
+        entries[(i, i, i + 3)] = 0.3
+    return NonnegativeTensor(TensorShape(3, 3 * (k + 1)), entries)
+
+
+class TestStartsWithoutAscent:
+    """Strong tensors whose start is no sub-solution: the first step lowers
+    some component, and the iteration still reaches the positive fixed point.
+    R2 ascends; a start at zero would stall at its fixed point (0, 1)."""
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+    def test_uncoupled_row(self, gamma):
+        A = uncoupled_row_tensor()
+        res = positive_perron_vector(A, FixedPointConfig(gamma=gamma))
+        assert res.gamma == gamma
+        assert not res.monotone
+        assert res.lam == pytest.approx(2.0, abs=1e-12)
+        assert_allclose(res.z, [np.sqrt(2 / 3), np.sqrt(1 / 3), 1.0], rtol=0, atol=1e-6)
+        assert_oracle_accepts(A, res)
+
+    def test_mixed_tail(self):
+        A = NonnegativeTensor(TensorShape(3, 2), {(1, 1, 2): 1.0, (2, 2, 2): 1.0})
+        res = positive_perron_vector(A)
+        assert res.lam == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(res.z, [1.0, 1.0], rtol=0, atol=1e-6)
+        assert_oracle_accepts(A, res)
+
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_chain(self, k):
+        A = chain_tensor(k)
+        res = positive_perron_vector(A)
+        assert not res.monotone
+        assert res.lam == pytest.approx(9.0, abs=1e-6)
+        assert_oracle_accepts(A, res)
+
+    @pytest.mark.parametrize(
+        "seed", [100 * s + k for s, k in [(1042, 2), (1501, 16), (2035, 5), (2570, 11), (389609433, 9)]]
+    )
+    def test_small_mixed_benchmark_instances(self, seed):
+        A = generate(GeneratorSpec((8, 9, 10, 10), rt=1.3, den=0.1, seed=seed))
+        res = positive_perron_vector(A)
+        assert not res.monotone
+        assert_oracle_accepts(A, res)
+
+    def test_sparse_generator_sweep(self):
+        not_monotone = 0
+        for seed in range(20):
+            A = generate(GeneratorSpec((3, 3, 2), rt=1.3, den=0.05, seed=seed))
+            res = positive_perron_vector(A)
+            assert_oracle_accepts(A, res)
+            not_monotone += not res.monotone
+        assert not_monotone > 0  # the sweep does reach starts without ascent
 
 
 class TestFixedPointStep:
