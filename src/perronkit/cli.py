@@ -226,13 +226,12 @@ def _cmd_verify(args) -> int:
 def _cmd_repro(args) -> int:
     ref = FOUR_BLOCKS_REFERENCE
     A = four_blocks_tensor()
-    power_cfg = PowerMethodConfig(tolerance=1e-6)
-    _, spectra = block_spectra(A, power_cfg)
+    cfg = FixedPointConfig(gamma=args.gamma, tolerance=args.tol)
+    result = positive_perron_vector(A, cfg, PowerMethodConfig(tolerance=1e-6))
+    spectra = result.classification.block_spectra
     rows = []
     for j, (expected, sp) in enumerate(zip(ref["block_radii"], spectra), start=1):
         rows.append(_repro_row(f"block {j} radius", expected, sp.rho, ref["block_radii_tol"]))
-    cfg = FixedPointConfig(gamma=args.gamma, tolerance=args.tol)
-    result = positive_perron_vector(A, cfg, power_cfg)
     rows.append(_repro_row("lambda", ref["rho"], result.lam, ref["rho_tol"]))
     for i, expected in enumerate(ref["perron_vector"], start=1):
         rows.append(

@@ -29,6 +29,34 @@ PERRON_STDOUT = (
     '"residual": 4.457363698265242e-06, "iterations": 129}\n'
 )
 
+REPRO_STDOUT = (
+    '{"passed": true, "rows": [{"quantity": "block 1 radius", "expected": 1.3183, '
+    '"computed": 1.3183867411065062, "tolerance": 0.001, "ok": true}, '
+    '{"quantity": "block 2 radius", "expected": 1.2581, '
+    '"computed": 1.258137774893613, "tolerance": 0.001, "ok": true}, '
+    '{"quantity": "block 3 radius", "expected": 2.6317, '
+    '"computed": 2.6317477506781177, "tolerance": 0.001, "ok": true}, '
+    '{"quantity": "block 4 radius", "expected": 3.1253, '
+    '"computed": 3.125311882289851, "tolerance": 0.001, "ok": true}, '
+    '{"quantity": "lambda", "expected": 3.1253, "computed": 3.125311882289851, '
+    '"tolerance": 0.001, "ok": true}, {"quantity": "vector[1]", "expected": 0.8809, '
+    '"computed": 0.8809321505090768, "tolerance": 0.005, "ok": true}, '
+    '{"quantity": "vector[2]", "expected": 0.9556, "computed": 0.9555794733203197, '
+    '"tolerance": 0.005, "ok": true}, {"quantity": "vector[3]", "expected": 0.8257, '
+    '"computed": 0.825730221846779, "tolerance": 0.005, "ok": true}, '
+    '{"quantity": "vector[4]", "expected": 0.8537, "computed": 0.853659703697235, '
+    '"tolerance": 0.005, "ok": true}, {"quantity": "vector[5]", "expected": 0.7374, '
+    '"computed": 0.7374097245333745, "tolerance": 0.005, "ok": true}, '
+    '{"quantity": "vector[6]", "expected": 0.7057, "computed": 0.705745903264674, '
+    '"tolerance": 0.005, "ok": true}, {"quantity": "vector[7]", "expected": 0.5257, '
+    '"computed": 0.5257461218977806, "tolerance": 0.005, "ok": true}, '
+    '{"quantity": "vector[8]", "expected": 0.4743, "computed": 0.47425387810221936, '
+    '"tolerance": 0.005, "ok": true}, {"quantity": "residual", '
+    '"expected": "< 1e-05", "computed": 4.54912614490704e-06, "ok": true}, '
+    '{"quantity": "iterations", "expected": "[30, 133]", "computed": 125, '
+    '"ok": true}]}\n'
+)
+
 SPEC = dict(block_sizes=(3, 4, 5), rt=1.3, den=0.1)
 GENERATOR_SHA256 = [
     (generate, 7, "f62295136dbafd7ccf3462e78fe9a093d1bd23da113406905f6d01a9dd442032"),
@@ -51,6 +79,12 @@ def test_cli_stdout_on_bundled_example(capsys, bundled_example, command, expecte
     assert main([command, bundled_example]) == 0
     out = capsys.readouterr().out
     assert out == expected, f"`perronkit {command}` stdout changed ({PLATFORM})"
+
+
+def test_repro_example_stdout(capsys):
+    assert main(["repro-example", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == REPRO_STDOUT, f"`perronkit repro-example` stdout changed ({PLATFORM})"
 
 
 @pytest.mark.parametrize("build, seed, digest", GENERATOR_SHA256)

@@ -1,10 +1,14 @@
 """Higher-order power method, Collatz-Wielandt bounds and radius predicates."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import perronkit.spectral as spectral
 from perronkit import (
+    GeneratorSpec,
     IndexPermutation,
     NonnegativeTensor,
     NotConverged,
@@ -13,17 +17,120 @@ from perronkit import (
     ZeroIterate,
     apply,
     block_spectra,
+    canonical_partition,
     collatz_wielandt,
+    generate,
+    generate_not_strong,
     is_nontrivially_nonnegative,
     is_strictly_nonnegative,
     permute,
     power_method,
+    principal_subtensor,
     spectral_radius,
 )
+from perronkit.examples import four_blocks_tensor
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import matrix_reference
 
 from conftest import all_ones_tensor
+
+
+def reference_power_method(B, cfg=None):
+    # The block-at-a-time loop that block_spectra replaced, kept verbatim as
+    # the reference its results must equal bit for bit.
+    cfg = cfg or PowerMethodConfig()
+    m, n = B.order, B.dim
+    if n == 1:
+        rho = float(B.vals[0]) if B.nnz else 0.0
+        return spectral.BlockSpectrum(rho=rho, vector=np.ones(1), iterations=0, gap=0.0)
+
+    shift = 1.0 if cfg.shift else 0.0
+    A = spectral._plus_identity(B) if cfg.shift else B
+    exponent = 1.0 / (m - 1)
+    x = np.full(n, 1.0 / n)
+    trace = []
+    best = None
+
+    for k in range(1, cfg.max_iterations + 1):
+        y = apply(A, x)
+        if np.any(y <= 0):
+            raise ZeroIterate(
+                "power method iterate lost positivity; input is not weakly irreducible"
+            )
+        ratios = y / x ** (m - 1)
+        alpha = float(ratios.max())
+        beta = float(ratios.min())
+        trace.append((alpha - shift, beta - shift))
+        x = y**exponent
+        x /= x.sum()
+        gap = alpha - beta
+        if best is None or gap < best[0] - best[1]:
+            best = (alpha, beta, x, k)
+        if gap <= cfg.tolerance:
+            return spectral.BlockSpectrum(
+                rho=(alpha + beta) / 2 - shift,
+                vector=x,
+                iterations=k,
+                gap=gap,
+                trace=tuple(trace),
+            )
+
+    alpha, beta, x, k = best
+    payload = spectral.BlockSpectrum(
+        rho=(alpha + beta) / 2 - shift,
+        vector=x,
+        iterations=k,
+        gap=alpha - beta,
+        trace=tuple(trace),
+    )
+    raise NotConverged(
+        f"power method gap {alpha - beta:.3e} above tolerance {cfg.tolerance:.3e} "
+        f"after {cfg.max_iterations} iterations",
+        best=payload,
+    )
+
+
+def assert_same_spectrum(got, want):
+    assert got.rho == want.rho
+    assert got.vector.tobytes() == want.vector.tobytes()
+    assert got.iterations == want.iterations
+    assert got.gap == want.gap
+    assert got.trace == want.trace
+
+
+def chained_blocks(seed, order, sizes, no_diagonal=()):
+    # Dense random diagonal blocks, each coupled into the next one, so the
+    # canonical partition is exactly these blocks.  The 1x1 blocks listed in
+    # no_diagonal get no diagonal entry.
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum((1,) + tuple(sizes))
+    ranges = [range(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    entries = {}
+    for t, block in enumerate(ranges):
+        if t not in no_diagonal:
+            for key in itertools.product(block, repeat=order):
+                entries[key] = float(1 - rng.random())
+        if t + 1 < len(ranges):
+            entries[(block[0],) + (ranges[t + 1][-1],) * (order - 1)] = float(1 - rng.random())
+    return NonnegativeTensor(TensorShape(order, int(bounds[-1]) - 1), entries)
+
+
+def reference_corpus():
+    # (tensor, config) cases for the exact-equality check of block_spectra.
+    yield pytest.param(four_blocks_tensor(), PowerMethodConfig(), id="four-blocks")
+    for sizes in [(2,) * 6 + (10,), (8, 9, 10, 10), (12, 16, 9)]:
+        for build in (generate, generate_not_strong):
+            A = build(GeneratorSpec(sizes, 1.3, 0.1, 1))
+            yield pytest.param(A, PowerMethodConfig(), id=f"{build.__name__}{sizes}")
+    mixed = chained_blocks(3, 3, (1, 3, 1, 2, 1, 4), no_diagonal=(2, 4))
+    yield pytest.param(mixed, PowerMethodConfig(), id="1x1-blocks")
+    yield pytest.param(chained_blocks(4, 2, (3, 1, 5, 2, 8)), PowerMethodConfig(), id="order-2")
+    yield pytest.param(
+        chained_blocks(5, 4, (2, 3, 1, 4)), PowerMethodConfig(tolerance=1e-12), id="order-4"
+    )
+    yield pytest.param(
+        chained_blocks(6, 3, (2, 4, 3)), PowerMethodConfig(shift=False), id="unshifted"
+    )
 
 
 def first_block_tensor() -> NonnegativeTensor:
@@ -238,6 +345,65 @@ class TestSpectralRadius:
 
 
 class TestBlockSpectra:
+    @pytest.mark.parametrize("A, cfg", list(reference_corpus()))
+    def test_equals_block_by_block_reference(self, A, cfg):
+        P, spectra = block_spectra(A, cfg)
+        assert len(spectra) == len(P.blocks) > 1
+        for block, sp in zip(P.blocks, spectra):
+            assert_same_spectrum(sp, reference_power_method(principal_subtensor(A, block), cfg))
+
+    def test_not_converged_reports_first_unconverged_block(self):
+        # The first block is all ones, so the uniform start is its Perron
+        # vector and it converges at once; the later blocks do not.
+        A = chained_blocks(7, 3, (2, 3, 2))
+        ones = {key: 1.0 for key in itertools.product((1, 2), repeat=3)}
+        A = NonnegativeTensor(A.shape, {**A.entries, **ones})
+        cfg = PowerMethodConfig(tolerance=1e-14, max_iterations=3)
+        outcomes = []
+        for block in canonical_partition(A).blocks:
+            try:
+                outcomes.append(reference_power_method(principal_subtensor(A, block), cfg))
+            except NotConverged as exc:
+                outcomes.append(exc)
+        assert not isinstance(outcomes[0], NotConverged)
+        first = next(o for o in outcomes if isinstance(o, NotConverged))
+        with pytest.raises(NotConverged) as excinfo:
+            block_spectra(A, cfg)
+        assert str(excinfo.value) == str(first)
+        assert_same_spectrum(excinfo.value.best, first.best)
+
+    @pytest.mark.parametrize(
+        "reducible_first, expected", [(True, ZeroIterate), (False, NotConverged)]
+    )
+    def test_first_failing_block_raises(self, reducible_first, expected):
+        # Unshifted, block (1, 2) loses positivity at the first sweep, while
+        # block (3, 4) only runs out of iterations; whichever comes first in
+        # block order decides the exception.
+        A = NonnegativeTensor(
+            TensorShape(3, 4),
+            {(2, 1, 1): 1.0, (3, 3, 4): 1.0, (3, 4, 4): 0.5, (4, 3, 3): 2.0},
+        )
+        cfg = PowerMethodConfig(shift=False, max_iterations=3)
+        blocks = ((1, 2), (3, 4)) if reducible_first else ((3, 4), (1, 2))
+        with pytest.raises(expected):
+            reference_power_method(principal_subtensor(A, blocks[0]), cfg)
+        with pytest.raises(expected):
+            spectral._power_iteration(A, blocks, cfg)
+
+    def test_one_apply_per_sweep(self, monkeypatch):
+        A = generate(GeneratorSpec((2,) * 6 + (10,), 1.3, 0.1, 1))
+        calls = {"apply": 0, "principal_subtensor": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(spectral, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        _, spectra = block_spectra(A)
+        iterations = [sp.iterations for sp in spectra]
+        assert calls["principal_subtensor"] == 0
+        assert calls["apply"] == max(iterations) < sum(iterations)
+
     def test_block_order_matches_partition(self, four_blocks):
         P, spectra = block_spectra(four_blocks)
         assert [len(sp.vector) for sp in spectra] == [len(b) for b in P.blocks]
