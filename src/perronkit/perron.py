@@ -32,7 +32,8 @@ class FixedPointConfig:
     path (ascending from a small start, descending from a large one).
     ``tolerance`` is on the 2-norm of successive differences of that
     sub-vector; ``rho_equality_tol`` is the relative tolerance used when
-    comparing block radii during classification.
+    comparing block radii during classification.  All three must be finite
+    and positive.
     """
 
     gamma: float = 1e-3
@@ -41,8 +42,8 @@ class FixedPointConfig:
     rho_equality_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if min(self.gamma, self.tolerance, self.rho_equality_tol) <= 0:
-            raise ValueError("gamma, tolerance and rho_equality_tol must be positive")
+        if not all(0 < v < np.inf for v in (self.gamma, self.tolerance, self.rho_equality_tol)):
+            raise ValueError("gamma, tolerance and rho_equality_tol must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -180,8 +181,8 @@ def fixed_point_step(
         raise ValueError(f"vector has shape {z.shape}, expected ({A.dim},)")
     if P.s < 1:
         raise ValueError("partition has no non-genuine blocks")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be finite and positive")
     r_idx = _nongenuine_positions(P)
     return (apply(A, z)[r_idx] / lam) ** (1.0 / (A.order - 1))
 
@@ -240,7 +241,7 @@ def positive_perron_vector(
     return PerronResult(
         z=z,
         lam=lam,
-        residual=float(np.linalg.norm(y - lam * z ** (m - 1))),
+        residual=trace[-1].residual if trace else float(np.linalg.norm(y - lam * z ** (m - 1))),
         iterations=len(trace),
         monotone=not trace or trace[0].min_increment >= 0,
         classification=cls,

@@ -29,19 +29,18 @@ __all__ = [
 class PowerMethodConfig:
     """Stopping parameters for the higher-order power method.
 
-    ``tolerance`` bounds the final Collatz-Wielandt gap alpha - beta.  With
-    ``shift`` on, the iteration runs on the input plus the identity tensor,
-    which guarantees global R-linear convergence on weakly irreducible
-    inputs; the reported radius has the shift removed.
+    ``tolerance`` bounds the final Collatz-Wielandt gap alpha - beta; it must
+    be finite and positive.  ``max_iterations`` caps the sweeps.  The
+    iteration always runs on the input plus the identity tensor, which
+    guarantees global R-linear convergence on weakly irreducible inputs.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10000
-    shift: bool = True
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -70,7 +69,7 @@ class NotConverged(Exception):
 
 
 class ZeroIterate(Exception):
-    """A power-method iterate acquired a zero component (weakly reducible input)."""
+    """A power-method iterate lost positivity: the input is not weakly irreducible."""
 
 
 def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]:
@@ -80,8 +79,8 @@ def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]
     ``(A x^{m-1})_i / x_i^{m-1}``; they bracket the spectral radius.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.dim,) or np.any(x <= 0):
-        raise ValueError("collatz_wielandt requires a positive vector of matching dimension")
+    if x.shape != (A.dim,) or not np.all((0 < x) & (x < np.inf)):
+        raise ValueError("collatz_wielandt needs a finite positive vector of matching dimension")
     ratios = apply(A, x) / x ** (A.order - 1)
     return float(ratios.max()), float(ratios.min())
 
@@ -90,32 +89,33 @@ def _plus_identity(B: NonnegativeTensor) -> NonnegativeTensor:
     # B + I as stored entries: 1.0 added to each stored diagonal, a unit entry
     # where a diagonal is missing.  Shifting inside apply this way rounds
     # differently from apply(B, x) + x**(m-1) and keeps the printed radii.
-    diagonal = np.all(B.idx == B.idx[:, :1], axis=1)
-    vals = B.vals.copy()
-    vals[diagonal] += 1.0
-    missing = np.ones(B.dim, dtype=bool)
-    missing[B.idx[diagonal, 0]] = False
-    new = np.flatnonzero(missing)
-    idx = np.concatenate([B.idx, np.repeat(new[:, None], B.order, axis=1)])
-    vals = np.concatenate([vals, np.ones(len(new))])
-    return NonnegativeTensor._from_coo(B.shape, idx, vals, sort=True)
+    # B's rows are sorted.  Row i's entries whose first nonzero of tail - i is
+    # negative sort before (i, ..., i), so the key 2i + (lead >= 0) is sorted
+    # and a missing diagonal goes where 2i + 1 would.
+    idx = B.idx
+    offset = idx[:, 1:] - idx[:, :1]
+    lead = offset[np.arange(B.nnz), np.argmax(offset != 0, axis=1)]  # 0 on the diagonal
+    new = np.setdiff1d(np.arange(B.dim), idx[lead == 0, 0], assume_unique=True)
+    at = np.searchsorted(2 * idx[:, 0] + (lead >= 0), 2 * new + 1)
+    idx = np.insert(idx, at, new[:, None], axis=0)
+    return NonnegativeTensor._from_coo(B.shape, idx, np.insert(B.vals + (lead == 0), at, 1.0))
 
 
 def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> BlockSpectrum:
     """Spectral radius and positive Perron vector of a weakly irreducible tensor.
 
     Iterates ``x <- normalize((A x^{m-1})^{[1/(m-1)]})`` from the uniform
-    positive vector, where A is B plus the identity tensor when the shift is
-    on, and stops once the Collatz-Wielandt gap alpha - beta falls below the
-    tolerance.  The radius is reported as the midpoint of the final bracket,
-    shift removed.  One-dimensional inputs are solved in closed form: the
-    radius is the single diagonal entry (zero if absent) and the vector is 1.
+    positive vector, where A is B plus the identity tensor, and stops once
+    the Collatz-Wielandt gap alpha - beta falls below the tolerance.  The
+    radius is reported as the midpoint of the final bracket, shift removed.
+    One-dimensional inputs are solved in closed form: the radius is the
+    single diagonal entry (zero if absent) and the vector is 1.
     This is the one-block case of the iteration :func:`block_spectra` runs.
 
     Raises :class:`NotConverged` when the iteration budget runs out (the best
     iterate rides along in the exception) and :class:`ZeroIterate` if an
     iterate loses positivity, which cannot happen on weakly irreducible
-    input with the shift on.
+    input.
     """
     return _power_iteration(B, (tuple(range(1, B.dim + 1)),), cfg or PowerMethodConfig())[0]
 
@@ -152,9 +152,7 @@ def _power_iteration(
         for b in blocks
     ]
 
-    shift = 1.0 if cfg.shift else 0.0
-    if cfg.shift:
-        D = _plus_identity(D)
+    D = _plus_identity(D)
     exponent = 1.0 / (m - 1)
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
     active = [j for j in range(r) if spectra[j] is None]
@@ -165,7 +163,7 @@ def _power_iteration(
     failed: set[int] = set()
 
     def finish(j: int, alpha: float, beta: float, vector: np.ndarray, k: int) -> BlockSpectrum:
-        rho = (alpha + beta) / 2 - shift
+        rho = (alpha + beta) / 2 - 1.0
         return BlockSpectrum(rho, vector, k, alpha - beta, tuple(traces[j]))
 
     for k in range(1, cfg.max_iterations + 1):
@@ -173,7 +171,7 @@ def _power_iteration(
             break
         y = apply(D, x[pos])[perm]
         lost = np.logical_or.reduceat(y <= 0, starts).tolist()
-        ratios = y / x ** (m - 1)
+        ratios = np.divide(y, x ** (m - 1), out=np.zeros(n), where=y > 0)  # no 0/0 if lost
         alphas = np.maximum.reduceat(ratios, starts).tolist()
         betas = np.minimum.reduceat(ratios, starts).tolist()
         x_new = np.where(frozen, x, y**exponent)
@@ -186,7 +184,7 @@ def _power_iteration(
                 x_new[lo:hi] = x[lo:hi]
                 continue
             alpha, beta = alphas[j], betas[j]
-            traces[j].append((alpha - shift, beta - shift))
+            traces[j].append((alpha - 1.0, beta - 1.0))
             seg = x_new[lo:hi]
             seg /= seg.sum()
             gap = alpha - beta

@@ -222,6 +222,31 @@ class TestErrorHandling:
         assert proc.stderr.startswith("perronkit: line 1: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("perron", "--tol", "nan"),
+            ("perron", "--tol", "inf"),
+            ("perron", "--gamma", "nan"),
+            ("perron", "--gamma", "inf"),
+            ("perron", "--rho-tol", "nan"),
+            ("classify", "--rho-tol", "nan"),
+            ("classify", "--rho-tol", "inf"),
+            ("radius", "--tol", "nan"),
+            ("radius", "--tol", "inf"),
+            ("repro-example", "--gamma", "nan"),
+            ("repro-example", "--tol", "inf"),
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_setting_exits_1(self, capsys, fixture_file, argv):
+        command, *options = argv
+        files = [] if command == "repro-example" else [fixture_file]
+        assert main([command, *files, *options]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("perronkit: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.1 PiB")])
     def test_out_of_memory_exits_1_with_one_line(self, capsys, monkeypatch, tiny_file, exc):
         def allocate(A):

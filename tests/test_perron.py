@@ -25,6 +25,23 @@ from perronkit.verification import brute_force_apply, dense_view, matrix_referen
 from conftest import all_ones_tensor
 
 
+class TestFixedPointConfig:
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {field: v}
+            for field in ("gamma", "tolerance", "rho_equality_tol")
+            for v in (0.0, -1.0, np.nan, np.inf)
+        ]
+        + [{"max_iterations": 0}],
+        ids=repr,
+    )
+    def test_rejects_bad_setting(self, setting):
+        # A nan in any position must be caught, not only in the first.
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            FixedPointConfig(**setting)
+
+
 class TestClassify:
     def test_four_block_fixture_is_strong(self, four_blocks):
         cls = classify(four_blocks)
@@ -231,6 +248,12 @@ class TestFixedPointStep:
             z_bigger = z + rng.random(A.dim)
             w, w_bigger = (fixed_point_step(A, P, v, lam) for v in (z, z_bigger))
             assert np.all(w <= w_bigger + 1e-15)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_lam(self, tiny_mixed, lam):
+        P = canonical_partition(tiny_mixed)
+        with pytest.raises(ValueError, match="lam"):
+            fixed_point_step(tiny_mixed, P, np.ones(tiny_mixed.dim), lam)
 
     def test_requires_nongenuine_blocks(self):
         A = all_ones_tensor(3, 2)

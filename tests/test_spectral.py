@@ -1,6 +1,8 @@
 """Higher-order power method, Collatz-Wielandt bounds and radius predicates."""
 
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,8 +46,7 @@ def reference_power_method(B, cfg=None):
         rho = float(B.vals[0]) if B.nnz else 0.0
         return spectral.BlockSpectrum(rho=rho, vector=np.ones(1), iterations=0, gap=0.0)
 
-    shift = 1.0 if cfg.shift else 0.0
-    A = spectral._plus_identity(B) if cfg.shift else B
+    A = spectral._plus_identity(B)
     exponent = 1.0 / (m - 1)
     x = np.full(n, 1.0 / n)
     trace = []
@@ -60,7 +61,7 @@ def reference_power_method(B, cfg=None):
         ratios = y / x ** (m - 1)
         alpha = float(ratios.max())
         beta = float(ratios.min())
-        trace.append((alpha - shift, beta - shift))
+        trace.append((alpha - 1.0, beta - 1.0))
         x = y**exponent
         x /= x.sum()
         gap = alpha - beta
@@ -68,7 +69,7 @@ def reference_power_method(B, cfg=None):
             best = (alpha, beta, x, k)
         if gap <= cfg.tolerance:
             return spectral.BlockSpectrum(
-                rho=(alpha + beta) / 2 - shift,
+                rho=(alpha + beta) / 2 - 1.0,
                 vector=x,
                 iterations=k,
                 gap=gap,
@@ -77,7 +78,7 @@ def reference_power_method(B, cfg=None):
 
     alpha, beta, x, k = best
     payload = spectral.BlockSpectrum(
-        rho=(alpha + beta) / 2 - shift,
+        rho=(alpha + beta) / 2 - 1.0,
         vector=x,
         iterations=k,
         gap=alpha - beta,
@@ -127,9 +128,6 @@ def reference_corpus():
     yield pytest.param(chained_blocks(4, 2, (3, 1, 5, 2, 8)), PowerMethodConfig(), id="order-2")
     yield pytest.param(
         chained_blocks(5, 4, (2, 3, 1, 4)), PowerMethodConfig(tolerance=1e-12), id="order-4"
-    )
-    yield pytest.param(
-        chained_blocks(6, 3, (2, 4, 3)), PowerMethodConfig(shift=False), id="unshifted"
     )
 
 
@@ -231,29 +229,54 @@ class TestPowerMethod:
         assert best is not None
         assert best.rho == pytest.approx(1.3183, abs=0.1)
 
-    def test_zero_iterate_on_weakly_reducible_unshifted(self):
-        A = NonnegativeTensor(TensorShape(3, 2), {(2, 1, 1): 1.0})
-        with pytest.raises(ZeroIterate):
-            power_method(A, PowerMethodConfig(shift=False))
-
-    def test_unshifted_agrees_on_primitive_input(self):
-        A = all_ones_tensor(3, 3)
-        on = power_method(A, PowerMethodConfig(shift=True))
-        off = power_method(A, PowerMethodConfig(shift=False))
-        assert off.rho == pytest.approx(on.rho, abs=1e-9)
-
+    def test_zero_iterate_on_weakly_reducible(self):
+        # Row 1 holds no entry, so with the shift its component only shrinks
+        # against the other one, until it underflows to 0.
+        for weight, sweeps in [(10.0, 400), (100.0, 200)]:
+            A = NonnegativeTensor(TensorShape(3, 2), {(2, 1, 1): 1.0, (2, 2, 2): weight})
+            with pytest.raises(ZeroIterate):
+                power_method(A, PowerMethodConfig(max_iterations=sweeps))
 
     def test_shift_adds_identity_entrywise(self):
         from perronkit.spectral import _plus_identity
 
         rng = np.random.default_rng(17)
+        corpus = []
         for _ in range(20):
             m, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
-            A = random_tensor(rng, m, n, nnz=int(rng.integers(0, 12)))
+            corpus.append(random_tensor(rng, m, n, nnz=int(rng.integers(0, 12))))
+        # Dense rows with some diagonals dropped, so that a missing diagonal
+        # has stored entries both before and after it in its row.
+        for m in (2, 3, 4):
+            for n in range(2, 9):
+                keys = itertools.product(range(1, n + 1), repeat=m)
+                entries = {key: float(1 - rng.random()) for key in keys if rng.random() < 0.4}
+                for i in rng.choice(np.arange(1, n + 1), size=n // 2, replace=False):
+                    entries.pop((int(i),) * m, None)
+                corpus.append(NonnegativeTensor(TensorShape(m, n), entries))
+        for A in corpus:
+            m, n = A.order, A.dim
             expected = dict(A.entries)
             for i in range(1, n + 1):
                 expected[(i,) * m] = expected.get((i,) * m, 0.0) + 1.0
             assert _plus_identity(A) == NonnegativeTensor(A.shape, expected)
+
+
+class TestPowerMethodConfig:
+    def test_fields_are_the_stopping_parameters(self):
+        assert [f.name for f in dataclasses.fields(PowerMethodConfig)] == [
+            "tolerance",
+            "max_iterations",
+        ]
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"tolerance": v} for v in (0.0, -1.0, np.nan, np.inf)] + [{"max_iterations": 0}],
+        ids=repr,
+    )
+    def test_rejects_bad_setting(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            PowerMethodConfig(**setting)
 
 
 class TestCollatzWielandt:
@@ -275,8 +298,9 @@ class TestCollatzWielandt:
 
     def test_requires_positive_vector(self):
         A = all_ones_tensor(3, 2)
-        with pytest.raises(ValueError):
-            collatz_wielandt(A, np.array([1.0, 0.0]))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                collatz_wielandt(A, np.array([1.0, bad]))
 
 
 class TestPredicates:
@@ -376,14 +400,14 @@ class TestBlockSpectra:
         "reducible_first, expected", [(True, ZeroIterate), (False, NotConverged)]
     )
     def test_first_failing_block_raises(self, reducible_first, expected):
-        # Unshifted, block (1, 2) loses positivity at the first sweep, while
-        # block (3, 4) only runs out of iterations; whichever comes first in
-        # block order decides the exception.
+        # Block (1, 2) underflows to a zero component within 200 sweeps,
+        # while block (3, 4) needs over 600 and so runs out of iterations;
+        # whichever comes first in block order decides the exception.
         A = NonnegativeTensor(
             TensorShape(3, 4),
-            {(2, 1, 1): 1.0, (3, 3, 4): 1.0, (3, 4, 4): 0.5, (4, 3, 3): 2.0},
+            {(2, 1, 1): 1.0, (2, 2, 2): 100.0, (3, 4, 4): 0.01, (4, 3, 3): 0.02},
         )
-        cfg = PowerMethodConfig(shift=False, max_iterations=3)
+        cfg = PowerMethodConfig(max_iterations=200)
         blocks = ((1, 2), (3, 4)) if reducible_first else ((3, 4), (1, 2))
         with pytest.raises(expected):
             reference_power_method(principal_subtensor(A, blocks[0]), cfg)
@@ -403,6 +427,18 @@ class TestBlockSpectra:
         iterations = [sp.iterations for sp in spectra]
         assert calls["principal_subtensor"] == 0
         assert calls["apply"] == max(iterations) < sum(iterations)
+
+    def test_peak_memory_at_gen_large(self):
+        # Bounds allocation, not time: B + I is built by inserting the missing
+        # diagonals into D's sorted rows, with no second sort of D.
+        A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
+        tracemalloc.start()
+        try:
+            block_spectra(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
 
     def test_block_order_matches_partition(self, four_blocks):
         P, spectra = block_spectra(four_blocks)
