@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import PowerMethodConfig, power_method
+from .spectral import power_method
 from .tensor import NonnegativeTensor, TensorShape, principal_subtensor
 
 __all__ = ["GeneratorSpec", "generate", "generate_not_strong"]
@@ -42,7 +42,7 @@ def _block_ranges(sizes: tuple[int, ...]) -> list[range]:
     return [range(int(a) + 1, int(b) + 1) for a, b in zip(starts[:-1], starts[1:])]
 
 
-def generate(spec: GeneratorSpec, power_cfg: PowerMethodConfig | None = None) -> NonnegativeTensor:
+def generate(spec: GeneratorSpec) -> NonnegativeTensor:
     """Build a strongly nonnegative third-order tensor from the spec.
 
     Each diagonal block gets dense positive uniform entries (hence weakly
@@ -70,7 +70,7 @@ def generate(spec: GeneratorSpec, power_cfg: PowerMethodConfig | None = None) ->
     tensor = NonnegativeTensor._from_coo(
         shape, np.concatenate(idx_parts), np.concatenate(val_parts)
     )
-    radii = [power_method(principal_subtensor(tensor, block), power_cfg).rho for block in blocks]
+    radii = [power_method(principal_subtensor(tensor, block)).rho for block in blocks]
     lam = max(radii) * spec.rt
     val_parts[-1] = val_parts[-1] * (lam / radii[-1])
 
@@ -89,9 +89,7 @@ def generate(spec: GeneratorSpec, power_cfg: PowerMethodConfig | None = None) ->
     )
 
 
-def generate_not_strong(
-    spec: GeneratorSpec, power_cfg: PowerMethodConfig | None = None
-) -> NonnegativeTensor:
+def generate_not_strong(spec: GeneratorSpec) -> NonnegativeTensor:
     """Build a tensor that is certainly not strongly nonnegative.
 
     Starting from :func:`generate`, even seeds inflate the first block's
@@ -102,10 +100,10 @@ def generate_not_strong(
     """
     if len(spec.block_sizes) < 2:
         raise ValueError("generate_not_strong needs at least two blocks")
-    base = generate(spec, power_cfg)
+    base = generate(spec)
     blocks = _block_ranges(spec.block_sizes)
-    lam = power_method(principal_subtensor(base, blocks[-1]), power_cfg).rho
-    rho_first = power_method(principal_subtensor(base, blocks[0]), power_cfg).rho
+    lam = power_method(principal_subtensor(base, blocks[-1])).rho
+    rho_first = power_method(principal_subtensor(base, blocks[0])).rho
 
     in_first = base.idx < len(blocks[0])
     inside = np.all(in_first, axis=1)

@@ -42,59 +42,89 @@ def majorization(A: NonnegativeTensor) -> np.ndarray:
     return np.bincount(cells, weights=weights, minlength=n * n).reshape(n, n)
 
 
-def _adjacency(M: np.ndarray) -> list[list[int]]:
-    # Edge i -> j iff M[i, j] > 0 exactly; sparsity is structural.
-    n = M.shape[0]
-    return [[int(j) for j in np.nonzero(M[i] > 0)[0]] for i in range(n)]
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    # First of each run of a sorted array; np.unique would import numpy.ma.
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
-def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components via iterative Tarjan, 0-based vertices."""
-    n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    sccs: list[list[int]] = []
-
+def _tarjan(ptr: list[int], succ: list[int]) -> tuple[list[int], int]:
+    # Component label of each vertex and the component count, by iterative
+    # Tarjan over CSR arrays: the successors of v are succ[ptr[v]:ptr[v + 1]].
+    n = len(ptr) - 1
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    nxt = ptr[:-1]  # the next successor to scan
+    stack: list[int] = []  # a visited vertex stays here until it gets a label
+    counter = labels = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        # work items: (vertex, iterator position into adj[vertex])
-        work = [(root, 0)]
+        work = [root]
         while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = counter
+            v = work[-1]
+            if index[v] == -1:
+                index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pos, len(adj[v])):
-                w = adj[v][k]
+            for k in range(nxt[v], ptr[v + 1]):
+                w = succ[k]
                 if index[w] == -1:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    advanced = True
+                    nxt[v] = k  # scanned again when w is done, to take low[w]
+                    work.append(w)
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return sccs
+                if label[w] == -1 and low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while label[v] == -1:
+                        label[stack.pop()] = labels
+                    labels += 1
+    return label, labels
+
+
+def _condense(n: int, keys: np.ndarray) -> np.ndarray:
+    """Topological position of each vertex's strongly connected component.
+
+    ``keys`` holds the edges i -> j of a digraph on [0, n) as sorted distinct
+    ``i * n + j``.  Positions come from Kahn's algorithm; among components the
+    edges leave unordered, the one holding the smallest vertex comes first.
+    """
+    src, dst = np.divmod(keys, n)
+    label, c = _tarjan(np.searchsorted(src, np.arange(n + 1)).tolist(), dst.tolist())
+    comp = np.array(label, dtype=np.intp)
+    csrc, cdst = comp[src], comp[dst]
+    a, b = np.divmod(_distinct(np.sort((csrc * c + cdst)[csrc != cdst])), c)
+    start = np.searchsorted(a, np.arange(c + 1)).tolist()
+    indeg = np.bincount(b, minlength=c)
+    lowest = np.full(c, n, dtype=np.intp)
+    np.minimum.at(lowest, comp, np.arange(n))
+    heap = lowest[indeg == 0].tolist()
+    heapq.heapify(heap)
+    indeg, lowest, succ, pos = indeg.tolist(), lowest.tolist(), b.tolist(), [0] * c
+    for t in range(c):  # the condensation is acyclic, so every component pops
+        x = label[heapq.heappop(heap)]
+        pos[x] = t
+        for y in succ[start[x] : start[x + 1]]:
+            indeg[y] -= 1
+            if not indeg[y]:
+                heapq.heappush(heap, lowest[y])
+    return np.array(pos, dtype=np.intp)[comp]
+
+
+def _tail_condensation(A: NonnegativeTensor, mask: np.ndarray) -> np.ndarray:
+    """Topological position of each index's component in the digraph with an
+    edge i -> j for every entry in ``mask`` with first index i and j in its tail.
+
+    Over all entries this is the digraph of ``majorization(A)``, since stored
+    values are positive; no n-by-n array is built.
+    """
+    n = A.dim
+    keys = (A.idx[mask, :1] * n + A.idx[mask, 1:]).ravel()
+    keys.sort()
+    keys = _distinct(keys)  # drops the sorted copy before the condensation
+    return _condense(n, keys)
 
 
 def scc_condensation(M: np.ndarray) -> CondensationOrder:
@@ -108,34 +138,14 @@ def scc_condensation(M: np.ndarray) -> CondensationOrder:
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    adj = _adjacency(M)
-    sccs = _tarjan_sccs(adj)
-    comp_of = [0] * n
-    for c, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = c
+    return CondensationOrder(_groups(_condense(n, np.flatnonzero(M > 0))))
 
-    succs: list[set[int]] = [set() for _ in sccs]
-    indeg = [0] * len(sccs)
-    for v in range(n):
-        for w in adj[v]:
-            cv, cw = comp_of[v], comp_of[w]
-            if cv != cw and cw not in succs[cv]:
-                succs[cv].add(cw)
-                indeg[cw] += 1
 
-    # Kahn's algorithm; the heap key (min vertex of the block) breaks ties.
-    heap = [(min(comp), c) for c, comp in enumerate(sccs) if indeg[c] == 0]
-    heapq.heapify(heap)
-    blocks: list[tuple[int, ...]] = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        blocks.append(tuple(v + 1 for v in sorted(sccs[c])))
-        for d in succs[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(heap, (min(sccs[d]), d))
-    return CondensationOrder(tuple(blocks))
+def _groups(pos: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    # The 1-based indices at each position, in increasing order.
+    order = (np.argsort(pos, kind="stable") + 1).tolist()
+    ends = np.cumsum(np.bincount(pos)).tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip([0] + ends, ends))
 
 
 def is_irreducible(M: np.ndarray) -> bool:
@@ -144,10 +154,4 @@ def is_irreducible(M: np.ndarray) -> bool:
     A 1x1 matrix counts as irreducible regardless of its value, matching
     the convention that one-dimensional tensors are weakly irreducible.
     """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if n == 1:
-        return True
-    return len(_tarjan_sccs(_adjacency(M))) == 1
+    return len(scc_condensation(M).blocks) == 1

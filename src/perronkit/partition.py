@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import is_irreducible, majorization, scc_condensation
+from .graph import _groups, _tail_condensation, majorization, scc_condensation
 from .tensor import IndexPermutation, NonnegativeTensor, principal_subtensor
 
 __all__ = ["CanonicalPartition", "canonical_partition", "is_genuine", "verify_partition"]
@@ -51,20 +51,6 @@ def is_genuine(A: NonnegativeTensor, I: Iterable[int]) -> bool:
     return bool(members[A.idx[members[A.idx[:, 0]]]].all())
 
 
-def _refine(A: NonnegativeTensor, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
-    # Recursive split: condense the majorization digraph, then re-partition
-    # each diagonal block's principal sub-tensor (whose majorization can be
-    # strictly sparser than the corresponding submatrix).
-    cond = scc_condensation(majorization(A))
-    if len(cond.blocks) == 1:
-        return [labels]
-    out: list[tuple[int, ...]] = []
-    for local_block in cond.blocks:
-        sub = principal_subtensor(A, local_block)
-        out.extend(_refine(sub, tuple(labels[i - 1] for i in local_block)))
-    return out
-
-
 def canonical_partition(A: NonnegativeTensor) -> CanonicalPartition:
     """Compute the canonical nonnegative partition of A.
 
@@ -74,18 +60,30 @@ def canonical_partition(A: NonnegativeTensor) -> CanonicalPartition:
     Genuine blocks are moved after the non-genuine ones, preserving the
     relative order within each group, so the result is deterministic.
     """
-    n = A.dim
-    raw = _refine(A, tuple(range(1, n + 1)))
-    flags = [is_genuine(A, block) for block in raw]
-    nongenuine = [b for b, g in zip(raw, flags) if not g]
-    genuine = [b for b, g in zip(raw, flags) if g]
-    blocks = tuple(nongenuine + genuine)
-    sigma = IndexPermutation(tuple(i for block in blocks for i in block))
+    # Refine every block at once, one condensation per level, until none
+    # splits.  A block's sub-tensor keeps the entries whose indices all lie in
+    # it.  Kahn pops each block's pieces in the order it would pop them alone,
+    # so a stable sort by parent gives the order of a depth-first recursion.
+    rank, r = np.zeros(A.dim, dtype=np.intp), 1  # the block position of each index
+    while True:
+        inside = (rank[A.idx[:, 1:]] == rank[A.idx[:, :1]]).all(axis=1)
+        pos = _tail_condensation(A, inside)
+        count = int(pos.max()) + 1
+        if count == r:
+            break
+        parent = np.empty(count, dtype=np.intp)
+        parent[pos] = rank
+        rank, r = np.argsort(np.argsort(parent, kind="stable"))[pos], count
+    # A block is genuine when none of its rows' entries leaves it.
+    escapes = np.zeros(r, dtype=bool)
+    escapes[rank[A.idx[~inside, 0]]] = True
+    blocks = _groups(np.argsort(np.argsort(~escapes, kind="stable"))[rank])
+    s = int(escapes.sum())
     return CanonicalPartition(
         blocks=blocks,
-        genuine=tuple([False] * len(nongenuine) + [True] * len(genuine)),
-        s=len(nongenuine),
-        sigma=sigma,
+        genuine=(False,) * s + (True,) * (r - s),
+        s=s,
+        sigma=IndexPermutation(tuple(i for block in blocks for i in block)),
     )
 
 
@@ -107,7 +105,7 @@ def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
         block_of[np.array(block) - 1] = j
 
     for block in P.blocks:
-        if not is_irreducible(majorization(principal_subtensor(A, block))):
+        if len(scc_condensation(majorization(principal_subtensor(A, block))).blocks) > 1:
             return False
 
     row_block = block_of[A.idx[:, 0]]

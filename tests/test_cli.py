@@ -269,6 +269,23 @@ def test_module_entry_point(fixture_file):
     assert json.loads(proc.stdout)["rho"] == pytest.approx(3.1253, abs=1e-3)
 
 
+def test_solve_and_perron_leave_numpy_ma_unimported(fixture_file):
+    # np.unique imports numpy.ma on its first call, about 9 ms of process
+    # start and several MB of resident memory; the solve path avoids it.
+    script = (
+        "import contextlib, io, sys\n"
+        "from perronkit import positive_perron_vector, read_tensor\n"
+        "from perronkit.cli import main\n"
+        f"positive_perron_vector(read_tensor({fixture_file!r}))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['perron', {fixture_file!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 class TestDeterminism:
     def test_identical_invocations_identical_stdout(self, capsys, fixture_file):
         outputs = set()

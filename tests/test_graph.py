@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from perronkit import (
     NonnegativeTensor,
@@ -153,6 +155,29 @@ class TestSccCondensation:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             scc_condensation(np.zeros((2, 3)))
+
+    def test_matches_scipy_components_in_documented_order(self):
+        # Components from scipy; the order rebuilt by the documented rule:
+        # of the blocks no unplaced block has an edge into, the one holding
+        # the smallest index comes next.
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            n = int(rng.integers(1, 200))
+            M = (rng.random((n, n)) < rng.uniform(0.2, 3.0) / n).astype(float)
+            _, labels = connected_components(csr_matrix(M), directed=True, connection="strong")
+            comps = {}
+            for v, c in enumerate(labels):
+                comps.setdefault(c, []).append(v + 1)
+            links = np.zeros((len(comps),) * 2, dtype=bool)
+            links[labels[np.nonzero(M)[0]], labels[np.nonzero(M)[1]]] = True
+            np.fill_diagonal(links, False)
+            left, expected = np.ones(len(comps), dtype=bool), []
+            while left.any():
+                free = np.flatnonzero(left & ~links[left].any(axis=0))
+                nxt = min(free, key=lambda c: comps[c][0])
+                expected.append(tuple(comps[nxt]))
+                left[nxt] = False
+            assert scc_condensation(M).blocks == tuple(expected)
 
 
 class TestIsIrreducible:

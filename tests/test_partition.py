@@ -10,13 +10,79 @@ from perronkit import (
     TensorShape,
     canonical_partition,
     is_genuine,
+    majorization,
     permute,
+    principal_subtensor,
+    scc_condensation,
     verify_partition,
 )
+from perronkit.generator import GeneratorSpec, generate, generate_not_strong
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import matrix_reference
 
 from conftest import all_ones_tensor
+
+
+def _refine(A: NonnegativeTensor, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
+    # Recursive split: condense the majorization digraph, then re-partition
+    # each diagonal block's principal sub-tensor (whose majorization can be
+    # strictly sparser than the corresponding submatrix).
+    cond = scc_condensation(majorization(A))
+    if len(cond.blocks) == 1:
+        return [labels]
+    out: list[tuple[int, ...]] = []
+    for local_block in cond.blocks:
+        sub = principal_subtensor(A, local_block)
+        out.extend(_refine(sub, tuple(labels[i - 1] for i in local_block)))
+    return out
+
+
+def reference_partition(A: NonnegativeTensor) -> CanonicalPartition:
+    """The recursion over sub-tensors that the level-wise loop replaced."""
+    raw = _refine(A, tuple(range(1, A.dim + 1)))
+    flags = [is_genuine(A, block) for block in raw]
+    nongenuine = [b for b, g in zip(raw, flags) if not g]
+    genuine = [b for b, g in zip(raw, flags) if g]
+    blocks = tuple(nongenuine + genuine)
+    return CanonicalPartition(
+        blocks=blocks,
+        genuine=tuple([False] * len(nongenuine) + [True] * len(genuine)),
+        s=len(nongenuine),
+        sigma=IndexPermutation(tuple(i for block in blocks for i in block)),
+    )
+
+
+def refinement_levels(A: NonnegativeTensor) -> int:
+    """Depth of the reference recursion; 1 when A is weakly irreducible."""
+    cond = scc_condensation(majorization(A))
+    if len(cond.blocks) == 1:
+        return 1
+    return 1 + max(refinement_levels(principal_subtensor(A, b)) for b in cond.blocks)
+
+
+class TestMatchesRecursion:
+    def test_random_corpus(self):
+        rng = np.random.default_rng(41)
+        levels = []
+        for _ in range(1500):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(1, 10))
+            A = random_tensor(rng, m, n, nnz=int(rng.integers(0, 3 * n) + 1))
+            assert canonical_partition(A) == reference_partition(A)
+            levels.append(refinement_levels(A))
+        # Restriction does not commute with majorization, so blocks split
+        # again below the first level; the corpus must exercise that.
+        assert sum(depth >= 3 for depth in levels) >= 100
+        assert max(levels) >= 5
+
+    @pytest.mark.parametrize("build", [generate, generate_not_strong])
+    @pytest.mark.parametrize("sizes", [(2,) * 20 + (10,), (8, 9, 10, 10), (12, 16, 9)])
+    def test_generator_shapes(self, build, sizes):
+        for seed in (0, 1):
+            A = build(GeneratorSpec(sizes, 1.3, 0.1, seed))
+            assert canonical_partition(A) == reference_partition(A)
+
+    def test_counterexample_tensor(self, tiny_mixed):
+        assert canonical_partition(tiny_mixed) == reference_partition(tiny_mixed)
 
 
 class TestCanonicalPartition:
