@@ -51,8 +51,6 @@ def _emit_plain(payload, indent: str = "") -> None:
                 _emit_plain(value, indent + "  ")
             else:
                 print(f"{indent}{value}")
-    else:
-        print(f"{indent}{payload}")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:

@@ -15,23 +15,32 @@ __all__ = ["CanonicalPartition", "canonical_partition", "is_genuine", "verify_pa
 
 @dataclass(frozen=True)
 class CanonicalPartition:
-    """Ordered blocks I_1, ..., I_r covering [1, n], genuine blocks last.
+    """Ordered blocks I_1, ..., I_r covering [1, n]; the first ``s`` are non-genuine.
 
     Each block induces a weakly irreducible principal sub-tensor.  A block is
     *genuine* when no stored entry with first index in the block reaches
-    outside it; the first ``s`` blocks are the non-genuine ones.  ``sigma``
-    relabels the tensor so the blocks become consecutive index ranges:
-    position p in the canonical arrangement holds original index sigma(p).
+    outside it; the last block always is.  ``genuine`` flags each block, and
+    ``sigma`` (position p -> original index sigma(p)) lays the blocks end to end.
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    genuine: tuple[bool, ...]
     s: int
-    sigma: IndexPermutation
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.s < len(self.blocks):
+            raise ValueError(f"s = {self.s} outside [0, {len(self.blocks)})")
 
     @property
     def r(self) -> int:
         return len(self.blocks)
+
+    @property
+    def genuine(self) -> tuple[bool, ...]:
+        return (False,) * self.s + (True,) * (self.r - self.s)
+
+    @property
+    def sigma(self) -> IndexPermutation:
+        return IndexPermutation(tuple(i for block in self.blocks for i in block))
 
     def genuine_blocks(self) -> tuple[tuple[int, ...], ...]:
         return self.blocks[self.s:]
@@ -78,13 +87,7 @@ def canonical_partition(A: NonnegativeTensor) -> CanonicalPartition:
     escapes = np.zeros(r, dtype=bool)
     escapes[rank[A.idx[~inside, 0]]] = True
     blocks = _groups(np.argsort(np.argsort(~escapes, kind="stable"))[rank])
-    s = int(escapes.sum())
-    return CanonicalPartition(
-        blocks=blocks,
-        genuine=(False,) * s + (True,) * (r - s),
-        s=s,
-        sigma=IndexPermutation(tuple(i for block in blocks for i in block)),
-    )
+    return CanonicalPartition(blocks, int(escapes.sum()))
 
 
 def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,20 +58,34 @@ class Outcome(enum.Enum):
 class Classification:
     """Outcome of the strong-nonnegativity test plus everything it computed.
 
-    ``lam`` is the common genuine-block radius (the spectral radius) when
-    defined.  On GENUINE_RADII_DIFFER the extreme genuine radii are reported;
-    on NONGENUINE_TOO_LARGE, ``offending_block`` is the 1-based position in
-    ``partition.blocks`` of a non-genuine block whose radius reaches ``lam``.
+    ``lam`` is the common genuine-block radius (the spectral radius), ``None``
+    only on GENUINE_RADII_DIFFER; ``max_genuine`` and ``min_genuine`` are the
+    extreme genuine radii.  On NONGENUINE_TOO_LARGE, ``offending_block`` is the
+    1-based position in ``partition.blocks`` of a non-genuine block whose
+    radius ``offending_rho`` reaches ``lam``.
     """
 
     outcome: Outcome
     partition: CanonicalPartition
     block_spectra: tuple[BlockSpectrum, ...]
-    lam: float | None = None
-    max_genuine: float | None = None
-    min_genuine: float | None = None
     offending_block: int | None = None
-    offending_rho: float | None = None
+
+    @property
+    def max_genuine(self) -> float:
+        return max(sp.rho for sp in self.block_spectra[self.partition.s:])
+
+    @property
+    def min_genuine(self) -> float:
+        return min(sp.rho for sp in self.block_spectra[self.partition.s:])
+
+    @property
+    def lam(self) -> float | None:
+        return None if self.outcome is Outcome.GENUINE_RADII_DIFFER else self.max_genuine
+
+    @property
+    def offending_rho(self) -> float | None:
+        j = self.offending_block
+        return None if j is None else self.block_spectra[j - 1].rho
 
     @property
     def is_strong(self) -> bool:
@@ -93,21 +107,30 @@ class IterationRecord:
 class PerronResult:
     """A positive Perron vector ``z`` (original index labels) with eigenvalue ``lam``.
 
-    ``residual`` is the 2-norm of ``A z^{m-1} - lam z^{[m-1]}``. ``monotone``
-    is the ascent certificate: the first step lowered no component, i.e.
-    F(w0) >= w0 exactly, so every later step increases the iterates too.
-    ``False`` means the run converged without that certificate, not that it
-    failed.  ``gamma`` is the start scale.
+    ``residual`` is the 2-norm of ``A z^{m-1} - lam z^{[m-1]}``; ``iterations``
+    is ``len(trace)``.  ``monotone`` is the ascent certificate: the first step
+    lowered no component, i.e. F(w0) >= w0 exactly, so every later step
+    increases the iterates too.  ``False`` means the run converged without
+    that certificate, not that it failed.  ``gamma`` is the start scale.
     """
 
     z: np.ndarray
-    lam: float
     residual: float
-    iterations: int
-    monotone: bool
     classification: Classification
     gamma: float
     trace: tuple[IterationRecord, ...] = ()
+
+    @property
+    def lam(self) -> float:
+        return self.classification.lam
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def monotone(self) -> bool:
+        return not self.trace or self.trace[0].min_increment >= 0
 
 
 class NotStronglyNonnegative(Exception):
@@ -131,35 +154,14 @@ def classify(
     """
     cfg = cfg or FixedPointConfig()
     P, spectra = block_spectra(A, power_cfg)
-    genuine_radii = [sp.rho for sp, g in zip(spectra, P.genuine) if g]
-    gmax, gmin = max(genuine_radii), min(genuine_radii)
+    cls = Classification(Outcome.STRONGLY_NONNEGATIVE, P, tuple(spectra))
+    gmax, gmin = cls.max_genuine, cls.min_genuine
     if gmax - gmin > cfg.rho_equality_tol * gmax:
-        return Classification(
-            outcome=Outcome.GENUINE_RADII_DIFFER,
-            partition=P,
-            block_spectra=tuple(spectra),
-            max_genuine=gmax,
-            min_genuine=gmin,
-        )
-    lam = gmax
-    for j, (sp, g) in enumerate(zip(spectra, P.genuine), start=1):
-        if not g and not sp.rho < lam * (1 - cfg.rho_equality_tol):
-            return Classification(
-                outcome=Outcome.NONGENUINE_TOO_LARGE,
-                partition=P,
-                block_spectra=tuple(spectra),
-                lam=lam,
-                offending_block=j,
-                offending_rho=sp.rho,
-            )
-    return Classification(
-        outcome=Outcome.STRONGLY_NONNEGATIVE,
-        partition=P,
-        block_spectra=tuple(spectra),
-        lam=lam,
-        max_genuine=gmax,
-        min_genuine=gmin,
-    )
+        return replace(cls, outcome=Outcome.GENUINE_RADII_DIFFER)
+    for j, sp in enumerate(spectra[: P.s], start=1):
+        if not sp.rho < gmax * (1 - cfg.rho_equality_tol):
+            return replace(cls, outcome=Outcome.NONGENUINE_TOO_LARGE, offending_block=j)
+    return cls
 
 
 def _nongenuine_positions(P: CanonicalPartition) -> np.ndarray:
@@ -240,10 +242,7 @@ def positive_perron_vector(
         trace.append(IterationRecord(len(trace) + 1, step_norm, residual, float(step.min())))
     return PerronResult(
         z=z,
-        lam=lam,
         residual=trace[-1].residual if trace else float(np.linalg.norm(y - lam * z ** (m - 1))),
-        iterations=len(trace),
-        monotone=not trace or trace[0].min_increment >= 0,
         classification=cls,
         gamma=cfg.gamma,
         trace=tuple(trace),

@@ -138,12 +138,8 @@ def _power_iteration(
     pos[perm] = np.arange(n)
     block_of = np.repeat(np.arange(r), sizes)[pos]
 
-    rows = block_of[A.idx[:, 0]]
-    inside = np.ones(A.nnz, dtype=bool)
-    for col in range(1, m):
-        inside &= block_of[A.idx[:, col]] == rows
+    inside = (block_of[A.idx[:, 1:]] == block_of[A.idx[:, :1]]).all(axis=1)
     D = NonnegativeTensor._from_coo(A.shape, A.idx[inside], A.vals[inside])
-    del rows, inside
 
     # Closed form for 1x1 blocks: the row of D holds at most the diagonal entry.
     row_sums = np.bincount(D.idx[:, 0], weights=D.vals, minlength=n)

@@ -247,6 +247,12 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("perronkit: ") and err.count("\n") == 1, err
 
+    def test_fixed_point_budget_exhausted_exits_1(self, capsys, fixture_file):
+        assert main(["perron", fixture_file, "--max-iter", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("perronkit: fixed-point step norm ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.1 PiB")])
     def test_out_of_memory_exits_1_with_one_line(self, capsys, monkeypatch, tiny_file, exc):
         def allocate(A):

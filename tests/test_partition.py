@@ -1,5 +1,7 @@
 """Canonical partition, genuineness and the partition auditor."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,13 +45,7 @@ def reference_partition(A: NonnegativeTensor) -> CanonicalPartition:
     flags = [is_genuine(A, block) for block in raw]
     nongenuine = [b for b, g in zip(raw, flags) if not g]
     genuine = [b for b, g in zip(raw, flags) if g]
-    blocks = tuple(nongenuine + genuine)
-    return CanonicalPartition(
-        blocks=blocks,
-        genuine=tuple([False] * len(nongenuine) + [True] * len(genuine)),
-        s=len(nongenuine),
-        sigma=IndexPermutation(tuple(i for block in blocks for i in block)),
-    )
+    return CanonicalPartition(tuple(nongenuine + genuine), len(nongenuine))
 
 
 def refinement_levels(A: NonnegativeTensor) -> int:
@@ -169,6 +165,24 @@ class TestCanonicalPartition:
             assert {frozenset(b) for b in P.blocks} == {frozenset(c) for c in ref.classes}
 
 
+class TestStoredFacts:
+    def test_fields_are_blocks_and_s(self):
+        assert [f.name for f in dataclasses.fields(CanonicalPartition)] == ["blocks", "s"]
+
+    def test_flags_and_sigma_follow_blocks_and_s(self):
+        P = CanonicalPartition(((2, 4), (1,), (3,)), s=1)
+        assert P.genuine == (False, True, True)
+        assert P.sigma == IndexPermutation((2, 4, 1, 3))
+        assert P.nongenuine_blocks() == ((2, 4),)
+        assert P.genuine_blocks() == ((1,), (3,))
+
+    @pytest.mark.parametrize("s", [-1, 3])
+    def test_s_outside_range_raises(self, s):
+        # every canonical partition ends with a genuine block, so s < r
+        with pytest.raises(ValueError, match="outside"):
+            CanonicalPartition(((1,), (2,), (3,)), s)
+
+
 class TestIsGenuine:
     def test_singleton_with_no_escape(self, tiny_mixed):
         assert is_genuine(tiny_mixed, [3])
@@ -200,51 +214,42 @@ class TestVerifyPartition:
             assert verify_partition(A, canonical_partition(A))
 
     def test_manual_partition_accepted(self, tiny_mixed):
-        P = CanonicalPartition(
-            blocks=((1,), (2,), (3,)),
-            genuine=(False, False, True),
-            s=2,
-            sigma=IndexPermutation.identity(3),
-        )
+        P = CanonicalPartition(((1,), (2,), (3,)), s=2)
         assert verify_partition(tiny_mixed, P)
 
     def test_wrong_genuine_flag_rejected(self, tiny_mixed):
-        P = CanonicalPartition(
-            blocks=((1,), (2,), (3,)),
-            genuine=(True, False, True),
-            s=1,
-            sigma=IndexPermutation.identity(3),
-        )
+        # s = 1 flags block {2} genuine, but its entry (2, 1, 3) escapes it
+        P = CanonicalPartition(((1,), (2,), (3,)), s=1)
         assert not verify_partition(tiny_mixed, P)
 
     def test_order_violation_rejected(self, tiny_mixed):
         # putting the genuine sink {3} first breaks the zero-pattern rule:
         # entries of rows 1 and 2 stay within {1,2,3} but point at block {3}
-        P = CanonicalPartition(
-            blocks=((3,), (1,), (2,)),
-            genuine=(True, False, False),
-            s=2,
-            sigma=IndexPermutation.identity(3),
-        )
+        P = CanonicalPartition(((3,), (1,), (2,)), s=2)
         assert not verify_partition(tiny_mixed, P)
 
-    def test_non_partition_raises(self, tiny_mixed):
-        P = CanonicalPartition(
-            blocks=((1,), (2,)),
-            genuine=(False, True),
-            s=1,
-            sigma=IndexPermutation.identity(3),
+    def test_genuine_block_first_rejected(self):
+        # {1} and {3} are genuine and {2} escapes into {3}.  In index order
+        # the genuine {1} comes first, and s = 1 then flags it non-genuine.
+        A = NonnegativeTensor(
+            TensorShape(3, 3),
+            {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (2, 3, 3): 1.0, (3, 3, 3): 1.0},
         )
+        assert canonical_partition(A) == CanonicalPartition(((2,), (1,), (3,)), s=1)
+        assert verify_partition(A, canonical_partition(A))
+        assert not verify_partition(A, CanonicalPartition(((1,), (2,), (3,)), s=1))
+
+    def test_wrong_s_rejected(self, tiny_mixed):
+        # s = 0 flags every block genuine; {1} and {2} escape into {3}
+        assert not verify_partition(tiny_mixed, CanonicalPartition(((1,), (2,), (3,)), s=0))
+
+    def test_non_partition_raises(self, tiny_mixed):
+        P = CanonicalPartition(((1,), (2,)), s=1)
         with pytest.raises(ValueError):
             verify_partition(tiny_mixed, P)
 
     def test_reducible_block_rejected(self):
         # {1, 2} is not strongly connected for this tensor
         A = NonnegativeTensor(TensorShape(3, 2), {(1, 2, 2): 1.0, (2, 2, 2): 1.0})
-        P = CanonicalPartition(
-            blocks=((1, 2),),
-            genuine=(True,),
-            s=0,
-            sigma=IndexPermutation.identity(2),
-        )
+        P = CanonicalPartition(((1, 2),), s=0)
         assert not verify_partition(A, P)

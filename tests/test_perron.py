@@ -1,5 +1,6 @@
 """Strong-nonnegativity classification and the positive Perron vector solver."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,10 +8,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from perronkit import (
+    Classification,
     FixedPointConfig,
+    IterationRecord,
     NonnegativeTensor,
+    NotConverged,
     NotStronglyNonnegative,
     Outcome,
+    PerronResult,
     TensorShape,
     apply,
     canonical_partition,
@@ -69,6 +74,33 @@ class TestClassify:
         assert cls.outcome is Outcome.NONGENUINE_TOO_LARGE
         assert cls.offending_rho == pytest.approx(3.0)
         assert cls.lam == pytest.approx(1.0)
+        assert cls.max_genuine == cls.min_genuine == cls.lam
+
+    def test_stored_fields(self):
+        names = [f.name for f in dataclasses.fields(Classification)]
+        assert names == ["outcome", "partition", "block_spectra", "offending_block"]
+
+    @pytest.mark.parametrize(
+        "entries, outcome",
+        [
+            ({(1, 2, 3): 1.0, (2, 1, 3): 1.0, (3, 3, 3): 1.0}, Outcome.STRONGLY_NONNEGATIVE),
+            ({(1, 1, 1): 1.0, (2, 2, 2): 2.0, (3, 3, 3): 1.5}, Outcome.GENUINE_RADII_DIFFER),
+            (
+                {(1, 1, 1): 0.5, (1, 3, 3): 1.0, (2, 2, 2): 3.0, (2, 3, 3): 1.0, (3, 3, 3): 1.0},
+                Outcome.NONGENUINE_TOO_LARGE,
+            ),
+        ],
+    )
+    def test_derived_values(self, entries, outcome):
+        cls = classify(NonnegativeTensor(TensorShape(3, 3), entries))
+        assert cls.outcome is outcome
+        radii = [sp.rho for sp in cls.block_spectra]
+        genuine = [rho for rho, g in zip(radii, cls.partition.genuine) if g]
+        assert (cls.max_genuine, cls.min_genuine) == (max(genuine), min(genuine))
+        assert cls.lam == (None if outcome is Outcome.GENUINE_RADII_DIFFER else max(genuine))
+        j = cls.offending_block
+        assert (j is None) == (outcome is not Outcome.NONGENUINE_TOO_LARGE)
+        assert cls.offending_rho == (None if j is None else radii[j - 1])
 
     def test_zero_tensor_is_strong_with_zero_radius(self):
         cls = classify(NonnegativeTensor(TensorShape(3, 3)))
@@ -133,6 +165,23 @@ class TestPositivePerronVector:
         assert_allclose(res.z, ref["perron_vector"], rtol=0, atol=ref["perron_vector_tol"])
         assert res.lam == pytest.approx(ref["rho"], abs=ref["rho_tol"])
         assert res.residual < ref["residual_bound"]
+
+    def test_stored_fields_and_derived_values(self, four_blocks):
+        names = [f.name for f in dataclasses.fields(PerronResult)]
+        assert names == ["z", "residual", "classification", "gamma", "trace"]
+        res = positive_perron_vector(four_blocks)
+        assert res.lam == res.classification.lam
+        assert res.iterations == len(res.trace) > 0
+        assert res.monotone == (res.trace[0].min_increment >= 0)
+
+    def test_budget_exhausted_reports_last_step(self, four_blocks):
+        cfg = FixedPointConfig(max_iterations=5)
+        with pytest.raises(NotConverged, match="^fixed-point step norm .* after 5 iter") as info:
+            positive_perron_vector(four_blocks, cfg)
+        best = info.value.best
+        assert isinstance(best, IterationRecord)
+        assert best.iteration == cfg.max_iterations
+        assert best == positive_perron_vector(four_blocks).trace[cfg.max_iterations - 1]
 
     def test_result_is_eigenpair_of_input(self, four_blocks):
         res = positive_perron_vector(four_blocks, FixedPointConfig(gamma=0.5, tolerance=1e-8))
