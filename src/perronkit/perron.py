@@ -223,6 +223,12 @@ def positive_perron_vector(
         z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
     r_idx = _nongenuine_positions(P)
     y = apply(A, z)
+    if r_idx.size:
+        # No entry leaves a genuine block and z_G never changes, so y_G is
+        # final.  A_R holds the rows of R in A's order: each sweep gives y_R
+        # the same bits a full apply would.
+        keep = np.isin(A.idx[:, 0], r_idx)
+        A_R = NonnegativeTensor._from_coo(A.shape, A.idx[keep], A.vals[keep], swept=True)
     trace: list[IterationRecord] = []
     step_norm = np.inf if r_idx.size else 0.0
     while step_norm > cfg.tolerance:
@@ -235,7 +241,7 @@ def positive_perron_vector(
         w = z[r_idx]
         w_new = (y[r_idx] / lam) ** exponent
         z[r_idx] = w_new
-        y = apply(A, z)
+        y[r_idx] = apply(A_R, z)[r_idx]
         residual = float(np.linalg.norm(y - lam * z ** (m - 1)))
         step = w_new - w
         step_norm = float(np.linalg.norm(step))

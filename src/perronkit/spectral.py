@@ -91,14 +91,16 @@ def _plus_identity(B: NonnegativeTensor) -> NonnegativeTensor:
     # differently from apply(B, x) + x**(m-1) and keeps the printed radii.
     # B's rows are sorted.  Row i's entries whose first nonzero of tail - i is
     # negative sort before (i, ..., i), so the key 2i + (lead >= 0) is sorted
-    # and a missing diagonal goes where 2i + 1 would.
+    # and a missing diagonal goes where 2i + 1 would.  The power method sweeps
+    # the result many times, so it carries the rank-major copy.
     idx = B.idx
     offset = idx[:, 1:] - idx[:, :1]
     lead = offset[np.arange(B.nnz), np.argmax(offset != 0, axis=1)]  # 0 on the diagonal
     new = np.setdiff1d(np.arange(B.dim), idx[lead == 0, 0], assume_unique=True)
     at = np.searchsorted(2 * idx[:, 0] + (lead >= 0), 2 * new + 1)
     idx = np.insert(idx, at, new[:, None], axis=0)
-    return NonnegativeTensor._from_coo(B.shape, idx, np.insert(B.vals + (lead == 0), at, 1.0))
+    vals = np.insert(B.vals + (lead == 0), at, 1.0)
+    return NonnegativeTensor._from_coo(B.shape, idx, vals, swept=True)
 
 
 def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> BlockSpectrum:

@@ -51,7 +51,8 @@ class NonnegativeTensor:
     constructor takes a map from 1-based index tuples ``(i1, ..., im)`` to
     values and drops zeros, so "stored entry" and "nonzero entry" coincide.
     ``entries`` gives the same data back as a read-only map of that form.
-    Instances and their arrays are immutable.
+    Instances and their arrays are immutable.  A tensor built to be swept
+    many times also keeps a private rank-major copy for :func:`apply`.
     """
 
     shape: TensorShape
@@ -70,14 +71,17 @@ class NonnegativeTensor:
         self._set(shape, *_checked_coo(shape.dim, idx, vals), sort=False)
 
     @classmethod
-    def _from_coo(cls, shape: TensorShape, idx, vals, sort: bool = False) -> NonnegativeTensor:
+    def _from_coo(
+        cls, shape: TensorShape, idx, vals, sort: bool = False, swept: bool = False
+    ) -> NonnegativeTensor:
         # Trusted constructor: idx (intp) rows distinct, 0-based and in range,
-        # vals (float64) positive.  With sort the rows are ordered here.
+        # vals (float64) positive.  With sort the rows are ordered here.  With
+        # swept, apply reads the rank-major copy, built at its first call.
         A = cls.__new__(cls)
-        A._set(shape, idx, vals, sort)
+        A._set(shape, idx, vals, sort, swept)
         return A
 
-    def _set(self, shape: TensorShape, idx, vals, sort: bool) -> None:
+    def _set(self, shape: TensorShape, idx, vals, sort: bool, swept: bool = False) -> None:
         if sort:
             order = np.lexsort(idx.T[::-1])
             idx, vals = idx[order], vals[order]
@@ -87,6 +91,7 @@ class NonnegativeTensor:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "idx", idx)
         object.__setattr__(self, "vals", vals)
+        object.__setattr__(self, "_swept", swept)
 
     @property
     def order(self) -> int:
@@ -99,6 +104,20 @@ class NonnegativeTensor:
     @property
     def nnz(self) -> int:
         return len(self.vals)
+
+    @cached_property
+    def _rank_major(self) -> tuple[np.ndarray, np.ndarray]:
+        # idx.T and vals with the k-th entry of every row before any row's
+        # (k+1)-th (the jagged-diagonal order): consecutive entries then add to
+        # different rows, so bincount's adds need not wait on each other.  The
+        # rank rises along each row, so every row keeps its idx order and sums
+        # the same terms in the same order.
+        counts = np.bincount(self.idx[:, 0], minlength=self.dim)
+        rank = np.arange(self.nnz) - np.repeat(np.cumsum(counts) - counts, counts)
+        order = np.argsort(rank, kind="stable")
+        cols, vals = self.idx.T.take(order, axis=1), self.vals.take(order)
+        cols.flags.writeable = vals.flags.writeable = False
+        return cols, vals
 
     @cached_property
     def entries(self) -> Mapping[tuple[int, ...], float]:
@@ -182,8 +201,9 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     Returns the n-vector whose i-th component is
     ``sum over stored entries a[i, i2, ..., im] * x[i2] * ... * x[im]``,
     i.e. the left-hand side of the tensor eigenvalue equation.  Only stored
-    nonzeros contribute; accumulation follows the sorted ``idx`` rows, so the
-    result is bit-reproducible.
+    nonzeros contribute.  Each term is ``((x[i2] * x[i3]) * ...) * a`` and each
+    row sums its terms in ``idx`` order, whichever order the entries are swept
+    in, so the result is bit-reproducible.
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.dim
@@ -191,8 +211,12 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
     if A.nnz == 0:
         return np.zeros(n)
-    contrib = A.vals * np.prod(x[A.idx[:, 1:]], axis=1)
-    return np.bincount(A.idx[:, 0], weights=contrib, minlength=n)
+    cols, vals = A._rank_major if A._swept else (A.idx.T, A.vals)
+    p = x[cols[1]]
+    for col in cols[2:]:
+        p *= x[col]
+    p *= vals
+    return np.bincount(cols[0], weights=p, minlength=n)
 
 
 def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTensor:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import perronkit.perron as perron
 from perronkit import (
     Classification,
     FixedPointConfig,
@@ -23,7 +24,7 @@ from perronkit import (
     fixed_point_step,
     positive_perron_vector,
 )
-from perronkit.examples import FOUR_BLOCKS_REFERENCE
+from perronkit.examples import FOUR_BLOCKS_REFERENCE, four_blocks_tensor
 from perronkit.generator import GeneratorSpec, generate, generate_not_strong
 from perronkit.verification import brute_force_apply, dense_view, matrix_reference
 
@@ -270,6 +271,77 @@ class TestStartsWithoutAscent:
             assert_oracle_accepts(A, res)
             not_monotone += not res.monotone
         assert not_monotone > 0  # the sweep does reach starts without ascent
+
+
+def reference_fixed_point(A, cfg):
+    """The fixed-point loop that applies all of A every sweep.
+
+    Returns z, the trace, the residual and the ascent flag.
+    """
+    cls = classify(A, cfg)
+    P, lam, m = cls.partition, cls.lam, A.order
+    z = np.zeros(A.dim)
+    for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
+        z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
+    r_idx = np.array([i - 1 for block in P.nongenuine_blocks() for i in block], dtype=np.intp)
+    y = apply(A, z)
+    trace = []
+    step_norm = np.inf if r_idx.size else 0.0
+    while step_norm > cfg.tolerance:
+        w = z[r_idx]
+        w_new = (y[r_idx] / lam) ** (1.0 / (m - 1))
+        z[r_idx] = w_new
+        y = apply(A, z)
+        residual = float(np.linalg.norm(y - lam * z ** (m - 1)))
+        step = w_new - w
+        step_norm = float(np.linalg.norm(step))
+        trace.append(IterationRecord(len(trace) + 1, step_norm, residual, float(step.min())))
+    residual = trace[-1].residual if trace else float(np.linalg.norm(y - lam * z ** (m - 1)))
+    return z, tuple(trace), residual, not trace or trace[0].min_increment >= 0
+
+
+def reference_cases():
+    for gamma in (1e-3, 0.5, 50.0):
+        yield pytest.param(four_blocks_tensor(), gamma, id=f"four-blocks-{gamma:g}")
+    for sizes in ((8, 9, 10, 10), (2,) * 20 + (10,), (3, 4, 5)):
+        for seed in (1, 2):
+            A = generate(GeneratorSpec(sizes, rt=1.3, den=0.1, seed=seed))
+            yield pytest.param(A, 1e-3, id=f"gen-{len(sizes)}-blocks-{seed}")
+    yield pytest.param(all_ones_tensor(3, 3), 1e-3, id="s0")  # no fixed-point stage
+
+
+class TestRowsOfR:
+    """Each sweep applies only the rows of the non-genuine set R; y_G is final."""
+
+    @pytest.mark.parametrize("A, gamma", reference_cases())
+    def test_matches_full_sweep_reference(self, A, gamma):
+        cfg = FixedPointConfig(gamma=gamma)
+        res = positive_perron_vector(A, cfg)
+        z, trace, residual, monotone = reference_fixed_point(A, cfg)
+        assert res.z.tobytes() == z.tobytes()
+        assert res.trace == trace
+        assert res.residual == residual
+        assert res.monotone == monotone
+
+    def test_one_full_apply_then_rows_of_r(self, monkeypatch):
+        A = generate(GeneratorSpec((2,) * 6 + (10,), 1.3, 0.1, 1))
+        calls = []
+
+        def counted(B, x, _original=perron.apply):
+            calls.append(B)
+            return _original(B, x)
+
+        monkeypatch.setattr(perron, "apply", counted)
+        res = positive_perron_vector(A)
+        P = res.classification.partition
+        r_rows = np.isin(A.idx[:, 0], [i - 1 for b in P.nongenuine_blocks() for i in b])
+        assert 0 < r_rows.sum() < A.nnz
+        assert len(calls) == res.iterations + 1
+        assert calls[0] is A
+        for B in calls[1:]:
+            assert np.array_equal(B.idx, A.idx[r_rows])
+            assert np.array_equal(B.vals, A.vals[r_rows])
+            assert "_rank_major" in vars(B)  # swept in rank-major order
 
 
 class TestFixedPointStep:

@@ -26,6 +26,7 @@ from perronkit import (
     is_nontrivially_nonnegative,
     is_strictly_nonnegative,
     permute,
+    positive_perron_vector,
     power_method,
     principal_subtensor,
     spectral_radius,
@@ -439,6 +440,19 @@ class TestBlockSpectra:
         finally:
             tracemalloc.stop()
         assert peak < 12e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
+
+    def test_solve_peak_memory_at_gen_large(self):
+        # The rank-major copies of B + I and of the rows of R add to the
+        # solve's allocation; they are built at the first sweep, once the
+        # temporaries that built each tensor are gone.
+        A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
+        tracemalloc.start()
+        try:
+            positive_perron_vector(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6, f"positive_perron_vector peaked at {peak / 1e6:.2f} MB"
 
     def test_block_order_matches_partition(self, four_blocks):
         P, spectra = block_spectra(four_blocks)

@@ -12,8 +12,12 @@ from perronkit import (
     NonnegativeTensor,
     TensorShape,
     apply,
+    canonical_partition,
+    collatz_wielandt,
+    fixed_point_step,
     generate,
     identity_tensor,
+    is_strictly_nonnegative,
     permute,
     principal_subtensor,
     read_tensor,
@@ -74,9 +78,74 @@ class TestConstruction:
         for name in ("shape", "idx", "vals"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(A, name, getattr(A, name))
+        S = swept(A)
+        apply(S, np.ones(2))
+        cols, vals = S._rank_major
+        for array in (cols, cols[0], cols[1], vals):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+def swept(A):
+    """A with the rank-major copy that apply reads on tensors it sweeps."""
+    return NonnegativeTensor._from_coo(A.shape, A.idx, A.vals, swept=True)
+
+
+def reference_apply(A, x):
+    """The kernel that gathers all tail columns at once and takes their product."""
+    contrib = A.vals * np.prod(x[A.idx[:, 1:]], axis=1)
+    return np.bincount(A.idx[:, 0], weights=contrib, minlength=A.dim)
+
+
+def kernel_corpus():
+    rng = np.random.default_rng(23)
+    for m in (2, 3, 4, 5):
+        yield NonnegativeTensor(TensorShape(m, 4))  # empty
+        yield NonnegativeTensor(TensorShape(m, 3), {(2,) * m: 0.7})  # one entry
+        yield NonnegativeTensor(TensorShape(m, 1), {(1,) * m: 2.5})  # n = 1
+        for _ in range(10):
+            n = int(rng.integers(2, 8))
+            yield random_tensor(rng, m, n, nnz=int(rng.integers(1, 4 * n)))
+        # rows 2 and 5 hold no entries, row 1 holds most of them
+        tails = rng.choice(np.array([1, 3, 4, 6]), size=(60, m - 1))
+        entries = {(1, *t): float(rng.random()) + 0.1 for t in tails.tolist()}
+        entries.update({(3,) * m: 0.3, (4, *(6,) * (m - 1)): 0.2, (6,) * m: 0.9})
+        yield NonnegativeTensor(TensorShape(m, 6), entries)
+    yield generate(GeneratorSpec((8, 9, 10, 10), 1.3, 0.1, 3))
 
 
 class TestApply:
+    def test_kernel_is_byte_equal_to_reference(self):
+        # Each row sums its terms in idx order in either order of the sweep,
+        # so the rank-major copy changes no bit.
+        rng = np.random.default_rng(29)
+        for A in kernel_corpus():
+            x = rng.random(A.dim) + 0.05
+            want = reference_apply(A, x)
+            for got in (apply(A, x), apply(swept(A), x)):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_rank_major_copy_keeps_each_row_in_order(self):
+        A = generate(GeneratorSpec((8, 9, 10, 10), 1.3, 0.1, 3))
+        cols, vals = swept(A)._rank_major
+        by_row = np.argsort(cols[0], kind="stable")
+        assert np.array_equal(cols.T[by_row], A.idx)
+        assert np.array_equal(vals[by_row], A.vals)
+        rank = np.empty(A.nnz, dtype=np.intp)  # position of each entry within its row
+        rank[by_row] = np.arange(A.nnz) - np.searchsorted(A.idx[:, 0], A.idx[:, 0])
+        assert np.all(np.diff(rank) >= 0)
+
+    def test_one_shot_callers_build_no_rank_major_copy(self):
+        # Building the copy costs several applies, so only loops that sweep
+        # one tensor many times ask for it.
+        A = four_blocks_tensor()
+        P = canonical_partition(A)
+        is_strictly_nonnegative(A)
+        collatz_wielandt(A, np.ones(A.dim))
+        fixed_point_step(A, P, np.ones(A.dim), 1.0)
+        apply(A, np.ones(A.dim))
+        assert "_rank_major" not in vars(A)
+
     def test_all_ones_tensor(self):
         A = all_ones_tensor(3, 2)
         assert_allclose(apply(A, np.array([1.0, 1.0])), [4.0, 4.0])
