@@ -17,7 +17,7 @@ class GeneratorSpec:
     """Recipe for a random block tensor.
 
     ``block_sizes`` lists the diagonal block dimensions in order; the last
-    block is the unique genuine one.  ``rt`` (> 1) is the ratio by which the
+    block is the unique genuine one.  ``rt`` (> 1, finite) is the ratio by which the
     genuine block's radius exceeds the largest raw block radius, ``den`` the
     Bernoulli inclusion probability for admissible off-block couplings.
     """
@@ -31,8 +31,8 @@ class GeneratorSpec:
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
         if not self.block_sizes or any(b < 1 for b in self.block_sizes):
             raise ValueError("block_sizes must be a nonempty list of positive integers")
-        if not self.rt > 1:
-            raise ValueError("rt must be > 1")
+        if not 1 < self.rt < np.inf:
+            raise ValueError("rt must be finite and > 1")
         if not 0 < self.den <= 1:
             raise ValueError("den must lie in (0, 1]")
 
@@ -73,6 +73,8 @@ def generate(spec: GeneratorSpec) -> NonnegativeTensor:
     radii = [power_method(principal_subtensor(tensor, block)).rho for block in blocks]
     lam = max(radii) * spec.rt
     val_parts[-1] = val_parts[-1] * (lam / radii[-1])
+    if not np.isfinite(val_parts[-1]).all():
+        raise ValueError(f"rt = {spec.rt:g} overflows the genuine block's entries")
 
     for block in blocks[:-1]:
         rows = np.arange(block.start - 1, block.stop - 1)

@@ -69,22 +69,24 @@ def canonical_partition(A: NonnegativeTensor) -> CanonicalPartition:
     Genuine blocks are moved after the non-genuine ones, preserving the
     relative order within each group, so the result is deterministic.
     """
-    # Refine every block at once, one condensation per level, until none
-    # splits.  A block's sub-tensor keeps the entries whose indices all lie in
-    # it.  Kahn pops each block's pieces in the order it would pop them alone,
-    # so a stable sort by parent gives the order of a depth-first recursion.
-    rank, r = np.zeros(A.dim, dtype=np.intp), 1  # the block position of each index
+    # Refine every block at once, one condensation per level over the entries
+    # inside a block.  Kahn pops a block's pieces in the order it would pop them
+    # alone, so a stable sort by parent gives a depth-first recursion's order.
+    # Stop once no entry that gave a new block (a strong component) an edge
+    # i -> j, j != i, leaves it: each block keeps its edges, so none would split.
+    rank, inside = np.zeros(A.dim, dtype=np.intp), np.ones(A.nnz, dtype=bool)
+    distinct = A.idx[:, 1:] != A.idx[:, :1]
     while True:
-        inside = (rank[A.idx[:, 1:]] == rank[A.idx[:, :1]]).all(axis=1)
         pos = _tail_condensation(A, inside)
-        count = int(pos.max()) + 1
-        if count == r:
-            break
-        parent = np.empty(count, dtype=np.intp)
+        parent = np.empty(int(pos.max()) + 1, dtype=np.intp)
         parent[pos] = rank
-        rank, r = np.argsort(np.argsort(parent, kind="stable"))[pos], count
+        rank = np.argsort(np.argsort(parent, kind="stable"))[pos]
+        same = rank[A.idx[:, 1:]] == rank[A.idx[:, :1]]
+        joined, inside = inside & (same & distinct).any(axis=1), same.all(axis=1)
+        if not (joined & ~inside).any():
+            break
     # A block is genuine when none of its rows' entries leaves it.
-    escapes = np.zeros(r, dtype=bool)
+    escapes = np.zeros(len(parent), dtype=bool)
     escapes[rank[A.idx[~inside, 0]]] = True
     blocks = _groups(np.argsort(np.argsort(~escapes, kind="stable"))[rank])
     return CanonicalPartition(blocks, int(escapes.sum()))
@@ -120,8 +122,6 @@ def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
     escapes_later[row_block[latest > row_block]] = True
 
     for j, (flag, block) in enumerate(zip(P.genuine, P.blocks)):
-        if flag != is_genuine(A, block):
-            return False
-        if not flag and not escapes_later[j]:
+        if flag != is_genuine(A, block) or not (flag or escapes_later[j]):
             return False
     return True

@@ -115,13 +115,14 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
     This is the one-block case of the iteration :func:`block_spectra` runs.
 
     Raises :class:`NotConverged` when the iteration budget runs out (the best
-    iterate rides along in the exception) and :class:`ZeroIterate` if an
+    iterate rides along in the exception), :class:`ZeroIterate` if an
     iterate loses positivity, which cannot happen on weakly irreducible
-    input.
+    input, and ValueError at the first sweep whose bracket overflows.
     """
     return _power_iteration(B, (tuple(range(1, B.dim + 1)),), cfg or PowerMethodConfig())[0]
 
 
+@np.errstate(over="ignore")  # an overflow makes a bracket inf, which raises below
 def _power_iteration(
     A: NonnegativeTensor, blocks: Sequence[tuple[int, ...]], cfg: PowerMethodConfig
 ) -> list[BlockSpectrum]:
@@ -182,6 +183,8 @@ def _power_iteration(
                 x_new[lo:hi] = x[lo:hi]
                 continue
             alpha, beta = alphas[j], betas[j]
+            if not alpha < np.inf:
+                raise ValueError("spectral radius overflowed float64 in the power method")
             traces[j].append((alpha - 1.0, beta - 1.0))
             seg = x_new[lo:hi]
             seg /= seg.sum()

@@ -1,6 +1,7 @@
 """CLI commands: JSON shape, exit codes and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,14 @@ from perronkit import GeneratorSpec, generate_not_strong, write_tensor
 from perronkit.cli import main
 from perronkit.examples import four_blocks_tensor, majorization_counterexample_tensor
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schemas" / "cli-output.schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "schemas" / "cli-output.schema.json").read_text())
+
+
+def child_env() -> dict:
+    """This environment with the checkout's src first on PYTHONPATH, for child processes."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def validate(instance, name: str) -> None:
@@ -217,6 +223,7 @@ class TestErrorHandling:
             [sys.executable, "-m", "perronkit.cli", "radius", str(bad)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("perronkit: line 1: ")
@@ -247,6 +254,23 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("perronkit: ") and err.count("\n") == 1, err
 
+    def test_overflowing_radius_exits_1(self, capsys, tmp_path):
+        big = tmp_path / "big.tns"
+        lines = ["3 2"] + [f"{key} 1e308" for key in ("1 1 1", "1 1 2", "2 2 2", "2 1 1")]
+        big.write_text("\n".join(lines) + "\n")
+        assert main(["radius", str(big)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("perronkit: spectral radius overflowed") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("rt, message", [("inf", "rt must be finite"), ("1e308", "overflows")])
+    def test_gen_non_finite_values_exit_1_without_file(self, capsys, tmp_path, rt, message):
+        out_file = tmp_path / "x.tns"
+        assert main(["gen", "--blocks", "2,3", "--rt", rt, "-o", str(out_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not out_file.exists()
+        assert err.startswith("perronkit: ") and message in err and err.count("\n") == 1, err
+
     def test_fixed_point_budget_exhausted_exits_1(self, capsys, fixture_file):
         assert main(["perron", fixture_file, "--max-iter", "1"]) == 1
         out, err = capsys.readouterr()
@@ -270,6 +294,7 @@ def test_module_entry_point(fixture_file):
         [sys.executable, "-m", "perronkit.cli", "radius", fixture_file],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rho"] == pytest.approx(3.1253, abs=1e-3)
@@ -287,7 +312,9 @@ def test_solve_and_perron_leave_numpy_ma_unimported(fixture_file):
         f"    assert main(['perron', {fixture_file!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

@@ -88,6 +88,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             GeneratorSpec(block_sizes=(2,), rt=2.0, den=0.0, seed=0)
 
+    @pytest.mark.parametrize("rt", [float("inf"), float("nan")])
+    def test_rt_must_be_finite(self, rt):
+        with pytest.raises(ValueError, match="rt must be finite"):
+            GeneratorSpec(block_sizes=(2, 3), rt=rt, den=0.1, seed=0)
+
+    def test_overflowing_rt_raises(self):
+        # A finite rt whose rescale of the genuine block overflows to inf.
+        with pytest.raises(ValueError, match="overflows the genuine block"):
+            generate(GeneratorSpec(block_sizes=(2, 3), rt=1e308, den=0.1, seed=0))
+
 
 class TestGenerateNotStrong:
     def test_even_seed_inflates_nongenuine_block(self):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import perronkit.partition as partition
 from perronkit import (
     CanonicalPartition,
     IndexPermutation,
@@ -18,11 +19,13 @@ from perronkit import (
     scc_condensation,
     verify_partition,
 )
+from perronkit.examples import four_blocks_tensor, majorization_counterexample_tensor
 from perronkit.generator import GeneratorSpec, generate, generate_not_strong
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import matrix_reference
 
 from conftest import all_ones_tensor
+from test_hypergraph import complete_union, tight_cycle
 
 
 def _refine(A: NonnegativeTensor, labels: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -79,6 +82,35 @@ class TestMatchesRecursion:
 
     def test_counterexample_tensor(self, tiny_mixed):
         assert canonical_partition(tiny_mixed) == reference_partition(tiny_mixed)
+
+
+class TestLevelCount:
+    # The loop ends on the level after which no block can split, without a
+    # further condensation that would only confirm it.
+    @pytest.mark.parametrize(
+        "build, condensations",
+        [
+            (lambda: generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1)), 1),
+            (lambda: complete_union(100, 4, 4), 1),
+            (four_blocks_tensor, 3),
+            (majorization_counterexample_tensor, 2),
+            (lambda: tight_cycle(300), 1),
+        ],
+        ids=["generator", "complete-union", "four-blocks", "counterexample", "tight-cycle"],
+    )
+    def test_condensations_per_partition(self, monkeypatch, build, condensations):
+        A = build()
+        calls = []
+        condense = partition._tail_condensation
+
+        def counted(A, mask):
+            calls.append(1)
+            return condense(A, mask)
+
+        monkeypatch.setattr(partition, "_tail_condensation", counted)
+        P = canonical_partition(A)
+        assert len(calls) == condensations
+        assert P == reference_partition(A)
 
 
 class TestCanonicalPartition:

@@ -150,6 +150,23 @@ def last_block_tensor() -> NonnegativeTensor:
     return NonnegativeTensor(TensorShape(3, 2), entries)
 
 
+def overflowing_tensor() -> NonnegativeTensor:
+    # Weakly irreducible with radius about 2e308: the first bracket is (inf, inf).
+    keys = [(1, 1, 1), (1, 1, 2), (2, 2, 2), (2, 1, 1)]
+    return NonnegativeTensor(TensorShape(3, 2), dict.fromkeys(keys, 1e308))
+
+
+def counting_apply(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, _original=spectral.apply):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(spectral, "apply", counted)
+    return calls
+
+
 class TestPowerMethod:
     def test_first_fixture_block_radius(self):
         assert power_method(first_block_tensor()).rho == pytest.approx(1.3183, abs=1e-3)
@@ -261,6 +278,12 @@ class TestPowerMethod:
             for i in range(1, n + 1):
                 expected[(i,) * m] = expected.get((i,) * m, 0.0) + 1.0
             assert _plus_identity(A) == NonnegativeTensor(A.shape, expected)
+
+    def test_overflowed_bracket_raises_at_first_sweep(self, monkeypatch):
+        calls = counting_apply(monkeypatch)
+        with pytest.raises(ValueError, match="spectral radius overflowed"):
+            power_method(overflowing_tensor())
+        assert len(calls) == 1
 
 
 class TestPowerMethodConfig:
@@ -428,6 +451,20 @@ class TestBlockSpectra:
         iterations = [sp.iterations for sp in spectra]
         assert calls["principal_subtensor"] == 0
         assert calls["apply"] == max(iterations) < sum(iterations)
+
+    def test_overflowed_bracket_raises_at_first_sweep(self, monkeypatch):
+        # The overflowing block comes second, after a block that converges.
+        big = overflowing_tensor()
+        entries = dict.fromkeys(itertools.product((1, 2), repeat=3), 1.0)
+        entries.update({tuple(i + 2 for i in key): v for key, v in big.entries.items()})
+        entries[(1, 3, 3)] = 1.0
+        A = NonnegativeTensor(TensorShape(3, 4), entries)
+        assert canonical_partition(A).blocks == ((1, 2), (3, 4))
+        calls = counting_apply(monkeypatch)
+        for B in (big, A):
+            with pytest.raises(ValueError, match="spectral radius overflowed"):
+                block_spectra(B)
+        assert len(calls) == 2
 
     def test_peak_memory_at_gen_large(self):
         # Bounds allocation, not time: B + I is built by inserting the missing
