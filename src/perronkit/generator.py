@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import power_method
-from .tensor import NonnegativeTensor, TensorShape, principal_subtensor
+from .spectral import PowerMethodConfig, _power_iteration
+from .tensor import NonnegativeTensor, TensorShape
 
 __all__ = ["GeneratorSpec", "generate", "generate_not_strong"]
 
@@ -70,7 +70,7 @@ def generate(spec: GeneratorSpec) -> NonnegativeTensor:
     tensor = NonnegativeTensor._from_coo(
         shape, np.concatenate(idx_parts), np.concatenate(val_parts)
     )
-    radii = [power_method(principal_subtensor(tensor, block)).rho for block in blocks]
+    radii = [sp.rho for sp in _power_iteration(tensor, blocks, PowerMethodConfig())]
     lam = max(radii) * spec.rt
     val_parts[-1] = val_parts[-1] * (lam / radii[-1])
     if not np.isfinite(val_parts[-1]).all():
@@ -104,8 +104,9 @@ def generate_not_strong(spec: GeneratorSpec) -> NonnegativeTensor:
         raise ValueError("generate_not_strong needs at least two blocks")
     base = generate(spec)
     blocks = _block_ranges(spec.block_sizes)
-    lam = power_method(principal_subtensor(base, blocks[-1])).rho
-    rho_first = power_method(principal_subtensor(base, blocks[0])).rho
+    # The sweeps read only entries inside a block: the couplings do not reach them.
+    spectra = _power_iteration(base, blocks, PowerMethodConfig())
+    lam, rho_first = spectra[-1].rho, spectra[0].rho
 
     in_first = base.idx < len(blocks[0])
     inside = np.all(in_first, axis=1)

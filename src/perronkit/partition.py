@@ -118,10 +118,8 @@ def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
     latest, earliest = tail_blocks.max(axis=1), tail_blocks.min(axis=1)
     if np.any((latest <= row_block) & (earliest < row_block)):
         return False
+    # After (b) an entry leaves its block exactly when it reaches a later one,
+    # so (d) is the flags against these escapes, and (d) implies (c).
     escapes_later = np.zeros(len(P.blocks), dtype=bool)
     escapes_later[row_block[latest > row_block]] = True
-
-    for j, (flag, block) in enumerate(zip(P.genuine, P.blocks)):
-        if flag != is_genuine(A, block) or not (flag or escapes_later[j]):
-            return False
-    return True
+    return P.genuine == tuple((~escapes_later).tolist())

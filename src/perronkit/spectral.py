@@ -124,7 +124,7 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
 
 @np.errstate(over="ignore")  # an overflow makes a bracket inf, which raises below
 def _power_iteration(
-    A: NonnegativeTensor, blocks: Sequence[tuple[int, ...]], cfg: PowerMethodConfig
+    A: NonnegativeTensor, blocks: Sequence[Sequence[int]], cfg: PowerMethodConfig
 ) -> list[BlockSpectrum]:
     # Power method on every block of a partition of [1, n] at once.  D, the
     # entries of A whose indices all lie in one block, is block diagonal, so
@@ -146,24 +146,19 @@ def _power_iteration(
 
     # Closed form for 1x1 blocks: the row of D holds at most the diagonal entry.
     row_sums = np.bincount(D.idx[:, 0], weights=D.vals, minlength=n)
-    spectra: list[BlockSpectrum | None] = [
-        BlockSpectrum(float(row_sums[b[0] - 1]), np.ones(1), 0, 0.0) if len(b) == 1 else None
-        for b in blocks
-    ]
 
     D = _plus_identity(D)
     exponent = 1.0 / (m - 1)
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
-    active = [j for j in range(r) if spectra[j] is None]
+    active = [j for j in range(r) if sizes[j] > 1]
     frozen = np.repeat(sizes == 1, sizes)
-    x = np.repeat(1.0 / sizes, sizes)
-    traces: dict[int, list[tuple[float, float]]] = {j: [] for j in active}
-    best: dict[int, tuple[float, float, np.ndarray, int]] = {}
-    failed: set[int] = set()
-
-    def finish(j: int, alpha: float, beta: float, vector: np.ndarray, k: int) -> BlockSpectrum:
-        rho = (alpha + beta) / 2 - 1.0
-        return BlockSpectrum(rho, vector, k, alpha - beta, tuple(traces[j]))
+    x = np.repeat(1.0 / sizes, sizes)  # 1.0 for a 1x1 block, and never swept
+    traces: list[list[tuple[float, float]]] = [[] for _ in range(r)]
+    # Each block's record (rho, gap, iterate, sweep) at its smallest gap so far:
+    # a 1x1 block's is its closed form, and a block whose iterate lost positivity
+    # has none.  A converged block's record is the sweep that met the tolerance,
+    # since every earlier gap was above it.
+    best = {j: (float(row_sums[b[0] - 1]), 0.0, x, 0) for j, b in enumerate(blocks) if len(b) == 1}
 
     for k in range(1, cfg.max_iterations + 1):
         if not active:
@@ -178,7 +173,7 @@ def _power_iteration(
         for j in active:
             lo, hi = bounds[j]
             if lost[j]:  # keep its last positive iterate; it raises at the end
-                failed.add(j)
+                best.pop(j, None)
                 frozen[lo:hi] = True
                 x_new[lo:hi] = x[lo:hi]
                 continue
@@ -189,10 +184,9 @@ def _power_iteration(
             seg = x_new[lo:hi]
             seg /= seg.sum()
             gap = alpha - beta
-            if j not in best or gap < best[j][0] - best[j][1]:
-                best[j] = (alpha, beta, x_new, k)  # each sweep makes a fresh x_new
+            if j not in best or gap < best[j][1]:
+                best[j] = ((alpha + beta) / 2 - 1.0, gap, x_new, k)  # a fresh x_new each sweep
             if gap <= cfg.tolerance:
-                spectra[j] = finish(j, alpha, beta, seg.copy(), k)
                 frozen[lo:hi] = True
             else:
                 still.append(j)
@@ -200,18 +194,19 @@ def _power_iteration(
         x = x_new
 
     # Report the first failed block in block order, as a block-by-block run would.
-    for j, sp in enumerate(spectra):
-        if j in failed:
+    spectra = []
+    for j, (lo, hi) in enumerate(bounds):
+        if j not in best:
             raise ZeroIterate(
                 "power method iterate lost positivity; input is not weakly irreducible"
             )
-        if sp is None:
-            alpha, beta, x_best, k = best[j]
-            lo, hi = bounds[j]
+        rho, gap, x_best, k = best[j]
+        spectra.append(BlockSpectrum(rho, x_best[lo:hi].copy(), k, gap, tuple(traces[j])))
+        if gap > cfg.tolerance:
             raise NotConverged(
-                f"power method gap {alpha - beta:.3e} above tolerance {cfg.tolerance:.3e} "
+                f"power method gap {gap:.3e} above tolerance {cfg.tolerance:.3e} "
                 f"after {cfg.max_iterations} iterations",
-                best=finish(j, alpha, beta, x_best[lo:hi].copy(), k),
+                best=spectra[-1],
             )
     return spectra
 

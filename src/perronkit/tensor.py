@@ -157,18 +157,6 @@ class IndexPermutation:
     def __len__(self) -> int:
         return len(self.sigma)
 
-    def inverse(self) -> "IndexPermutation":
-        inv = [0] * len(self.sigma)
-        for i, image in enumerate(self.sigma, start=1):
-            inv[image - 1] = i
-        return IndexPermutation(tuple(inv))
-
-    def compose(self, other: "IndexPermutation") -> "IndexPermutation":
-        """Composition self after other: ``(self.compose(other))(i) == self(other(i))``."""
-        if len(other) != len(self):
-            raise ValueError("cannot compose permutations of different sizes")
-        return IndexPermutation(tuple(self(other(i)) for i in range(1, len(self) + 1)))
-
 
 def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate 1-based index rows and their values, as they come from outside.

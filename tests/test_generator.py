@@ -2,6 +2,9 @@
 
 import pytest
 
+import perronkit.generator as generator
+import perronkit.spectral as spectral
+import perronkit.tensor as tensor
 from perronkit import (
     GeneratorSpec,
     Outcome,
@@ -97,6 +100,30 @@ class TestGenerate:
         # A finite rt whose rescale of the genuine block overflows to inf.
         with pytest.raises(ValueError, match="overflows the genuine block"):
             generate(GeneratorSpec(block_sizes=(2, 3), rt=1e308, den=0.1, seed=0))
+
+
+@pytest.mark.parametrize("build, passes", [(generate, 1), (generate_not_strong, 2)])
+def test_radii_from_one_pass_over_the_blocks(monkeypatch, build, passes):
+    # Every block radius comes from one power iteration over the generator's
+    # blocks: no sub-tensor is copied and no block runs the power method alone.
+    def forbidden(*args):
+        raise AssertionError("the generator took a sub-tensor's radius alone")
+
+    for module in (generator, spectral, tensor):
+        for name in ("principal_subtensor", "power_method"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    calls = []
+
+    def counted(*args, _original=spectral._power_iteration):
+        calls.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(generator, "_power_iteration", counted, raising=False)
+    spec = GeneratorSpec(block_sizes=(2, 1, 3, 4), rt=2.0, den=0.3, seed=4)
+    build(spec)
+    assert [[tuple(b) for b in blocks] for blocks in calls] == [
+        [(1, 2), (3,), (4, 5, 6), (7, 8, 9, 10)]
+    ] * passes
 
 
 class TestGenerateNotStrong:

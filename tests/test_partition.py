@@ -280,6 +280,18 @@ class TestVerifyPartition:
         with pytest.raises(ValueError):
             verify_partition(tiny_mixed, P)
 
+    def test_genuine_flags_need_no_entry_scan(self, monkeypatch, tiny_mixed, four_blocks):
+        # The flags are read from the escapes that check (b) already found.
+        calls = []
+        monkeypatch.setattr(partition, "is_genuine", lambda *args: calls.append(args))
+        A = generate(GeneratorSpec((2, 3, 4), 1.3, 0.3, 1))
+        for B in (tiny_mixed, four_blocks, A):
+            P = canonical_partition(B)
+            assert verify_partition(B, P)
+            assert not verify_partition(B, CanonicalPartition(P.blocks, P.s - 1))
+        assert not verify_partition(tiny_mixed, CanonicalPartition(((1,), (2,), (3,)), s=1))
+        assert calls == []
+
     def test_reducible_block_rejected(self):
         # {1, 2} is not strongly connected for this tensor
         A = NonnegativeTensor(TensorShape(3, 2), {(1, 2, 2): 1.0, (2, 2, 2): 1.0})

@@ -132,6 +132,22 @@ def reference_corpus():
     )
 
 
+def budget_corpus():
+    # (tensor, config, first block converges) cases that run out of sweeps.
+    # First a tensor whose first block is all ones, so the uniform start is its
+    # Perron vector and it converges at once; the later blocks do not.
+    A = chained_blocks(7, 3, (2, 3, 2))
+    ones = {key: 1.0 for key in itertools.product((1, 2), repeat=3)}
+    A = NonnegativeTensor(A.shape, {**A.entries, **ones})
+    cfg = PowerMethodConfig(tolerance=1e-14, max_iterations=3)
+    yield A, cfg, True
+    # Then every reference tensor on a short budget, and on one long enough for
+    # the gaps to stall at rounding level, where the best sweep is not the last.
+    for case in reference_corpus():
+        for tolerance, k in ((1e-14, 1), (1e-14, 3), (1e-300, 60)):
+            yield case.values[0], PowerMethodConfig(tolerance=tolerance, max_iterations=k), False
+
+
 def first_block_tensor() -> NonnegativeTensor:
     # first diagonal block of the bundled fixture, radius 1.3183
     entries = {
@@ -401,24 +417,22 @@ class TestBlockSpectra:
             assert_same_spectrum(sp, reference_power_method(principal_subtensor(A, block), cfg))
 
     def test_not_converged_reports_first_unconverged_block(self):
-        # The first block is all ones, so the uniform start is its Perron
-        # vector and it converges at once; the later blocks do not.
-        A = chained_blocks(7, 3, (2, 3, 2))
-        ones = {key: 1.0 for key in itertools.product((1, 2), repeat=3)}
-        A = NonnegativeTensor(A.shape, {**A.entries, **ones})
-        cfg = PowerMethodConfig(tolerance=1e-14, max_iterations=3)
-        outcomes = []
-        for block in canonical_partition(A).blocks:
-            try:
-                outcomes.append(reference_power_method(principal_subtensor(A, block), cfg))
-            except NotConverged as exc:
-                outcomes.append(exc)
-        assert not isinstance(outcomes[0], NotConverged)
-        first = next(o for o in outcomes if isinstance(o, NotConverged))
-        with pytest.raises(NotConverged) as excinfo:
-            block_spectra(A, cfg)
-        assert str(excinfo.value) == str(first)
-        assert_same_spectrum(excinfo.value.best, first.best)
+        for A, cfg, first_converges in budget_corpus():
+            outcomes = []
+            for block in canonical_partition(A).blocks:
+                try:
+                    outcomes.append(reference_power_method(principal_subtensor(A, block), cfg))
+                except (NotConverged, ZeroIterate) as exc:
+                    outcomes.append(exc)
+            if first_converges:
+                assert not isinstance(outcomes[0], NotConverged)
+            first = next(o for o in outcomes if isinstance(o, Exception))
+            with pytest.raises(Exception) as excinfo:
+                block_spectra(A, cfg)
+            assert type(excinfo.value) is type(first)
+            assert str(excinfo.value) == str(first)
+            if isinstance(first, NotConverged):
+                assert_same_spectrum(excinfo.value.best, first.best)
 
     @pytest.mark.parametrize(
         "reducible_first, expected", [(True, ZeroIterate), (False, NotConverged)]

@@ -296,7 +296,8 @@ class TestPermutation:
             A = random_tensor(rng, 3, n, nnz=12)
             sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
             tau = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
-            assert permute(permute(A, sigma), tau) == permute(A, sigma.compose(tau))
+            composed = IndexPermutation(tuple(sigma(tau(i)) for i in range(1, n + 1)))
+            assert permute(permute(A, sigma), tau) == permute(A, composed)
 
     def test_matches_entry_loop(self):
         rng = np.random.default_rng(14)
@@ -304,13 +305,17 @@ class TestPermutation:
             m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
             A = random_tensor(rng, m, n, nnz=25)
             sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
-            inv = sigma.inverse()
-            expected = {tuple(inv(i) for i in key): v for key, v in A.entries.items()}
+            inv = {image: i for i, image in enumerate(sigma.sigma, start=1)}
+            expected = {tuple(inv[i] for i in key): v for key, v in A.entries.items()}
             assert permute(A, sigma).entries == expected
 
     def test_inverse_roundtrip(self):
+        A = random_tensor(np.random.default_rng(15), 3, 3, nnz=12)
         sigma = IndexPermutation((3, 1, 2))
-        assert sigma.compose(sigma.inverse()).sigma == (1, 2, 3)
+        inverse = IndexPermutation((2, 3, 1))
+        assert tuple(sigma(inverse(i)) for i in (1, 2, 3)) == (1, 2, 3)
+        assert permute(A, sigma) != A
+        assert permute(permute(A, sigma), inverse) == A
 
 
 class TestFileFormat:
