@@ -18,7 +18,7 @@ from .perron import (
     classify,
     positive_perron_vector,
 )
-from .spectral import NotConverged, PowerMethodConfig, block_spectra
+from .spectral import NotConverged, PowerMethodConfig, ZeroIterate, block_spectra
 from .tensor import read_tensor, write_tensor
 
 USAGE_ERROR = 64
@@ -47,8 +47,10 @@ def _emit_plain(payload, indent: str = "") -> None:
                 print(f"{indent}{key}: {value}")
     elif isinstance(payload, list):
         for value in payload:
-            if isinstance(value, (dict, list)):
+            if isinstance(value, dict):
                 _emit_plain(value, indent + "  ")
+            elif isinstance(value, list):
+                print(indent + " ".join(str(v) for v in value))
             else:
                 print(f"{indent}{value}")
 
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, NotConverged) as exc:
+    except (OSError, ValueError, NotConverged, ZeroIterate) as exc:
         print(f"perronkit: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

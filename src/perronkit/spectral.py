@@ -69,7 +69,7 @@ class NotConverged(Exception):
 
 
 class ZeroIterate(Exception):
-    """A power-method iterate lost positivity: the input is not weakly irreducible."""
+    """An iterate component hit 0: it underflowed, or the input is not weakly irreducible."""
 
 
 def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]:
@@ -115,9 +115,9 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
     This is the one-block case of the iteration :func:`block_spectra` runs.
 
     Raises :class:`NotConverged` when the iteration budget runs out (the best
-    iterate rides along in the exception), :class:`ZeroIterate` if an
-    iterate loses positivity, which cannot happen on weakly irreducible
-    input, and ValueError at the first sweep whose bracket overflows.
+    iterate rides along in the exception), :class:`ZeroIterate` if a component
+    of an iterate underflows to 0 or the input is not weakly irreducible,
+    and ValueError at the first sweep whose bracket overflows.
     """
     return _power_iteration(B, (tuple(range(1, B.dim + 1)),), cfg or PowerMethodConfig())[0]
 
@@ -198,7 +198,7 @@ def _power_iteration(
     for j, (lo, hi) in enumerate(bounds):
         if j not in best:
             raise ZeroIterate(
-                "power method iterate lost positivity; input is not weakly irreducible"
+                "power method iterate lost positivity (underflow, or input not weakly irreducible)"
             )
         rho, gap, x_best, k = best[j]
         spectra.append(BlockSpectrum(rho, x_best[lo:hi].copy(), k, gap, tuple(traces[j])))

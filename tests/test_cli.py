@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
@@ -277,6 +278,23 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("perronkit: fixed-point step norm ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["radius", "classify", "perron"])
+    def test_underflowed_iterate_exits_1_without_traceback(self, tmp_path, command):
+        # One weakly irreducible block, yet 1e-300 couplings drive a power-method
+        # component below the float64 range.
+        tiny = tmp_path / "underflow.tns"
+        tiny.write_text("3 3\n1 2 2 1e-300\n2 3 3 1e-300\n3 1 1 1.0\n3 3 3 1.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "perronkit.cli", command, str(tiny)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("perronkit: power method iterate lost positivity")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.1 PiB")])
     def test_out_of_memory_exits_1_with_one_line(self, capsys, monkeypatch, tiny_file, exc):
         def allocate(A):
@@ -331,3 +349,13 @@ class TestDeterminism:
         code, out = run(capsys, "radius", fixture_file, "--format", "plain")
         assert code == 0
         assert "rho:" in out
+
+    def test_plain_format_prints_one_line_per_block(self, capsys):
+        with resources.as_file(resources.files("perronkit") / "data" / "four_blocks.tns") as path:
+            code, out = run(capsys, "partition", str(path), "--format", "plain")
+        assert code == 0
+        assert out == (
+            "blocks:\n  1 2\n  3 4\n  5 6\n  7 8\n"
+            "genuine:\n  False\n  False\n  False\n  True\n"
+            "s: 3\n"
+        )

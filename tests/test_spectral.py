@@ -57,7 +57,7 @@ def reference_power_method(B, cfg=None):
         y = apply(A, x)
         if np.any(y <= 0):
             raise ZeroIterate(
-                "power method iterate lost positivity; input is not weakly irreducible"
+                "power method iterate lost positivity (underflow, or input not weakly irreducible)"
             )
         ratios = y / x ** (m - 1)
         alpha = float(ratios.max())
