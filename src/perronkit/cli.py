@@ -55,59 +55,54 @@ def _emit_plain(payload, indent: str = "") -> None:
                 print(f"{indent}{value}")
 
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "plain"), default="json")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="perronkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"perronkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("partition", help="canonical nonnegative partition")
-    p.add_argument("file")
-    _add_format(p)
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("majorization", help="majorization matrix as a dense JSON array")
+    p = command("partition", _cmd_partition, "canonical nonnegative partition")
     p.add_argument("file")
-    _add_format(p)
 
-    p = sub.add_parser("radius", help="spectral radius and per-block radii")
+    p = command("majorization", _cmd_majorization, "majorization matrix as a dense JSON array")
+    p.add_argument("file")
+
+    p = command("radius", _cmd_radius, "spectral radius and per-block radii")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=10000)
-    _add_format(p)
 
-    p = sub.add_parser("classify", help="strong-nonnegativity classification")
+    p = command("classify", _cmd_classify, "strong-nonnegativity classification")
     p.add_argument("file")
     p.add_argument("--rho-tol", type=float, default=1e-6)
-    _add_format(p)
 
-    p = sub.add_parser("perron", help="positive Perron vector via fixed-point iteration")
+    p = command("perron", _cmd_perron, "positive Perron vector via fixed-point iteration")
     p.add_argument("file")
     p.add_argument("--gamma", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=100000)
     p.add_argument("--rho-tol", type=float, default=1e-6)
     p.add_argument("--trace", metavar="CSV", help="write per-iteration residuals to CSV")
-    _add_format(p)
 
-    p = sub.add_parser("gen", help="generate a random strongly nonnegative instance")
+    p = command("gen", _cmd_gen, "generate a random strongly nonnegative instance")
     p.add_argument("--blocks", required=True, help="comma-separated block sizes, e.g. 8,9,10,10")
     p.add_argument("--rt", type=float, required=True)
     p.add_argument("--den", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
-    _add_format(p)
 
-    p = sub.add_parser("verify", help="run the brute-force oracle equivalence suite")
-    _add_format(p)
+    command("verify", _cmd_verify, "run the brute-force oracle equivalence suite")
 
-    p = sub.add_parser("repro-example", help="compare the bundled example against its reference values")
+    p = command("repro-example", _cmd_repro, "compare the bundled example against its reference values")
     p.add_argument("--gamma", type=float, default=FOUR_BLOCKS_REFERENCE["gamma"])
     p.add_argument("--tol", type=float, default=FOUR_BLOCKS_REFERENCE["tolerance"])
-    _add_format(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "plain"), default="json")
     return parser
 
 
@@ -125,13 +120,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_majorization(args) -> int:
-    M = majorization(read_tensor(args.file))
-    payload = [list(row) for row in M.tolist()]
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for row in payload:
-            print(" ".join(str(v) for v in row))
+    _emit(majorization(read_tensor(args.file)).tolist(), args.format)
     return 0
 
 
@@ -277,22 +266,10 @@ def _repro_row(quantity: str, expected: float, computed: float, tol: float) -> d
     }
 
 
-_COMMANDS = {
-    "partition": _cmd_partition,
-    "majorization": _cmd_majorization,
-    "radius": _cmd_radius,
-    "classify": _cmd_classify,
-    "perron": _cmd_perron,
-    "gen": _cmd_gen,
-    "verify": _cmd_verify,
-    "repro-example": _cmd_repro,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError, NotConverged, ZeroIterate) as exc:
         print(f"perronkit: {exc}", file=sys.stderr)
         return 1

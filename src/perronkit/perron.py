@@ -189,6 +189,18 @@ def fixed_point_step(
     return (apply(A, z)[r_idx] / lam) ** (1.0 / (A.order - 1))
 
 
+def _residual(y: np.ndarray, z: np.ndarray, lam: float, m: int) -> float:
+    """``||d||_2`` for ``d = y - lam z^{[m-1]}``, rescaled by ``max|d|`` if it overflows."""
+    d = y - lam * z ** (m - 1)
+    residual = float(np.linalg.norm(d))
+    if residual == np.inf and (scale := float(np.abs(d).max())) < np.inf:
+        residual = scale * float(np.linalg.norm(d / scale))
+    if not residual < np.inf:
+        raise ValueError("fixed-point stage overflowed float64")
+    return residual
+
+
+@np.errstate(over="ignore")  # an overflowed update or residual is inf or NaN, which raises
 def positive_perron_vector(
     A: NonnegativeTensor,
     cfg: FixedPointConfig | None = None,
@@ -208,7 +220,8 @@ def positive_perron_vector(
     the start's iterates between them, so every ``gamma`` reaches z*.
 
     Raises :class:`NotStronglyNonnegative` when no positive Perron vector
-    exists and :class:`NotConverged` if the iteration budget runs out.
+    exists, :class:`NotConverged` if the iteration budget runs out and
+    ``ValueError`` if an update or the residual overflows float64.
     """
     cfg = cfg or FixedPointConfig()
     cls = classify(A, cfg, power_cfg)
@@ -238,17 +251,18 @@ def positive_perron_vector(
                 f"{cfg.tolerance:.3e} after {cfg.max_iterations} iterations",
                 best=trace[-1],
             )
-        w = z[r_idx]
         w_new = (y[r_idx] / lam) ** exponent
+        if not w_new.max() < np.inf:  # w_new >= 0, so max finds inf and NaN alike
+            raise ValueError("fixed-point stage overflowed float64")
+        step = w_new - z[r_idx]
         z[r_idx] = w_new
         y[r_idx] = apply(A_R, z)[r_idx]
-        residual = float(np.linalg.norm(y - lam * z ** (m - 1)))
-        step = w_new - w
+        residual = _residual(y, z, lam, m)
         step_norm = float(np.linalg.norm(step))
         trace.append(IterationRecord(len(trace) + 1, step_norm, residual, float(step.min())))
     return PerronResult(
         z=z,
-        residual=trace[-1].residual if trace else float(np.linalg.norm(y - lam * z ** (m - 1))),
+        residual=trace[-1].residual if trace else _residual(y, z, lam, m),
         classification=cls,
         gamma=cfg.gamma,
         trace=tuple(trace),

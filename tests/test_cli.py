@@ -1,5 +1,6 @@
 """CLI commands: JSON shape, exit codes and determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import jsonschema
 import pytest
 
 from perronkit import GeneratorSpec, generate_not_strong, write_tensor
-from perronkit.cli import main
+from perronkit.cli import _build_parser, main
 from perronkit.examples import four_blocks_tensor, majorization_counterexample_tensor
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +41,13 @@ def tiny_file(tmp_path_factory) -> str:
     path = tmp_path_factory.mktemp("cli") / "tiny.tns"
     write_tensor(majorization_counterexample_tensor(), path)
     return str(path)
+
+
+def subcommands() -> dict:
+    """Name -> parser of every subcommand of the CLI's parser."""
+    parser = _build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 def run(capsys, *argv):
@@ -295,6 +303,42 @@ class TestErrorHandling:
         assert proc.stderr.startswith("perronkit: power method iterate lost positivity")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
+    def test_overflowing_fixed_point_update_exits_1(self, tmp_path):
+        # z1 = 2e154 is finite, but y_1 = A z^2 overflows before its root is taken.
+        big = tmp_path / "update.tns"
+        big.write_text(
+            "3 3\n1 1 1 0.5\n1 2 2 1e308\n1 3 3 1e308\n2 2 2 0.5\n2 3 3 0.5\n3 3 3 1\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "perronkit.cli", "perron", str(big)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "perronkit: fixed-point stage overflowed float64\n"
+
+    def test_overflowing_residual_prints_finite_json(self, tmp_path):
+        big = tmp_path / "residual.tns"
+        big.write_text(
+            "3 2\n1 1 1 7.09126434567812e+305\n2 1 1 8.124361719914801e+305\n"
+            "2 1 2 6.5968019214130835e+305\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "perronkit.cli", "perron", str(big)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        validate(payload, "perron")
+        assert payload["status"] == "strong" and 0 < payload["residual"] < payload["lambda"]
+
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.1 PiB")])
     def test_out_of_memory_exits_1_with_one_line(self, capsys, monkeypatch, tiny_file, exc):
         def allocate(A):
@@ -335,6 +379,28 @@ def test_solve_and_perron_leave_numpy_ma_unimported(fixture_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+class TestParser:
+    """Each subcommand is declared once, and ``--format`` is added to all of them."""
+
+    def test_format_is_every_subcommand_last_option(self):
+        for name, parser in subcommands().items():
+            last = parser._actions[-1]
+            assert last.option_strings == ["--format"], name
+            assert (last.choices, last.default) == (("json", "plain"), "json"), name
+            assert parser.format_usage().count("--format") == 1, name
+            assert "[--format {json,plain}]" in parser.format_usage(), name
+
+    @pytest.mark.parametrize("name", list(subcommands()))
+    def test_unknown_format_exits_64(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--format", "xml"])
+        assert excinfo.value.code == 64
+        assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+
+    def test_subcommands_match_output_schema(self):
+        assert set(subcommands()) == set(SCHEMA["$defs"]) - {"indexBlock"}
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -188,6 +189,62 @@ class TestPositivePerronVector:
         res = positive_perron_vector(four_blocks, FixedPointConfig(gamma=0.5, tolerance=1e-8))
         lhs = apply(four_blocks, res.z)
         assert_allclose(lhs, res.lam * res.z**2, atol=1e-6)
+
+
+# z1 = 2e154 is finite, but y_1 = A z^2 overflows once z2 nears 1, before its root is taken.
+UPDATE_OVERFLOW = {
+    (1, 1, 1): 0.5,
+    (1, 2, 2): 1e308,
+    (1, 3, 3): 1e308,
+    (2, 2, 2): 0.5,
+    (2, 3, 3): 0.5,
+    (3, 3, 3): 1.0,
+}
+# R = {2}; the residual's squares overflow although the residual does not.
+RESIDUAL_OVERFLOW = {
+    (1, 1, 1): 7.09126434567812e305,
+    (2, 1, 1): 8.124361719914801e305,
+    (2, 1, 2): 6.5968019214130835e305,
+}
+
+
+class TestOverflow:
+    """An overflow in the fixed-point stage raises; a finite residual is always returned."""
+
+    def test_overflowing_update_raises(self):
+        A = NonnegativeTensor(TensorShape(3, 3), UPDATE_OVERFLOW)
+        with pytest.raises(ValueError, match="^fixed-point stage overflowed float64$"):
+            positive_perron_vector(A)
+
+    def test_overflowing_start_raises(self, four_blocks):
+        with pytest.raises(ValueError, match="^fixed-point stage overflowed float64$"):
+            positive_perron_vector(four_blocks, FixedPointConfig(gamma=1e200))
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            NonnegativeTensor(TensorShape(3, 2), RESIDUAL_OVERFLOW),
+            # no non-genuine block: the residual of the block Perron vector
+            NonnegativeTensor(TensorShape(2, 2), {(1, 2): 2e307, (2, 1): 1e307, (2, 2): 5e306}),
+        ],
+        ids=["in-loop", "no-R"],
+    )
+    def test_overflowing_residual_is_rescaled(self, A):
+        res = positive_perron_vector(A)
+        d = apply(A, res.z) - res.lam * res.z ** (A.order - 1)
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(d) == np.inf
+        assert np.isfinite(res.residual)
+        assert res.residual == pytest.approx(math.hypot(*d), rel=1e-12)
+        assert all(np.isfinite(rec.residual) for rec in res.trace)
+
+    @pytest.mark.parametrize(
+        "y, z", [(np.full(4, 1e308), np.zeros(4)), (np.ones(2), np.array([1.0, 1e200]))]
+    )
+    def test_residual_beyond_float64_raises(self, y, z):
+        # the norm itself, or lam z^{[m-1]}, overflows; errstate as in positive_perron_vector
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^fixed-point stage"):
+            perron._residual(y, z, 1.0, 3)
 
 
 def assert_oracle_accepts(A, res):
