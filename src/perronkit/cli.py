@@ -22,6 +22,8 @@ from .spectral import NotConverged, PowerMethodConfig, ZeroIterate, block_spectr
 from .tensor import read_tensor, write_tensor
 
 USAGE_ERROR = 64
+# Power-method tolerance of the commands that classify (classify, perron, repro-example).
+_CLASSIFY_POWER_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +142,7 @@ def _cmd_radius(args) -> int:
 
 def _cmd_classify(args) -> int:
     cfg = FixedPointConfig(rho_equality_tol=args.rho_tol)
-    cls = classify(read_tensor(args.file), cfg, PowerMethodConfig(tolerance=1e-6))
+    cls = classify(read_tensor(args.file), cfg, PowerMethodConfig(tolerance=_CLASSIFY_POWER_TOL))
     _emit(
         {
             "status": cls.outcome.value,
@@ -161,7 +163,7 @@ def _cmd_perron(args) -> int:
         max_iterations=args.max_iter,
         rho_equality_tol=args.rho_tol,
     )
-    power_cfg = PowerMethodConfig(tolerance=min(1e-6, args.tol))
+    power_cfg = PowerMethodConfig(tolerance=min(_CLASSIFY_POWER_TOL, args.tol))
     try:
         result = positive_perron_vector(read_tensor(args.file), cfg, power_cfg)
     except NotStronglyNonnegative as exc:
@@ -216,7 +218,7 @@ def _cmd_repro(args) -> int:
     ref = FOUR_BLOCKS_REFERENCE
     A = four_blocks_tensor()
     cfg = FixedPointConfig(gamma=args.gamma, tolerance=args.tol)
-    result = positive_perron_vector(A, cfg, PowerMethodConfig(tolerance=1e-6))
+    result = positive_perron_vector(A, cfg, PowerMethodConfig(tolerance=_CLASSIFY_POWER_TOL))
     spectra = result.classification.block_spectra
     rows = []
     for j, (expected, sp) in enumerate(zip(ref["block_radii"], spectra), start=1):

@@ -20,7 +20,6 @@ __all__ = [
     "NotStronglyNonnegative",
     "classify",
     "positive_perron_vector",
-    "fixed_point_step",
 ]
 
 @dataclass(frozen=True)
@@ -33,7 +32,8 @@ class FixedPointConfig:
     ``tolerance`` is on the 2-norm of successive differences of that
     sub-vector; ``rho_equality_tol`` is the relative tolerance used when
     comparing block radii during classification.  All three must be finite
-    and positive.
+    and positive, and ``rho_equality_tol`` below 1: at 1 or above no radius
+    lies strictly below ``lam * (1 - rho_equality_tol)``.
     """
 
     gamma: float = 1e-3
@@ -44,6 +44,8 @@ class FixedPointConfig:
     def __post_init__(self) -> None:
         if not all(0 < v < np.inf for v in (self.gamma, self.tolerance, self.rho_equality_tol)):
             raise ValueError("gamma, tolerance and rho_equality_tol must be finite and positive")
+        if not self.rho_equality_tol < 1:
+            raise ValueError("rho_equality_tol must be below 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -164,31 +166,6 @@ def classify(
     return cls
 
 
-def _nongenuine_positions(P: CanonicalPartition) -> np.ndarray:
-    """0-based positions of the non-genuine index set R, in block order."""
-    return np.array([i - 1 for block in P.nongenuine_blocks() for i in block], dtype=np.intp)
-
-
-def fixed_point_step(
-    A: NonnegativeTensor, P: CanonicalPartition, z: np.ndarray, lam: float
-) -> np.ndarray:
-    """One fixed-point update on the non-genuine index set R.
-
-    Returns ``((A z^{m-1})_R / lam)^{[1/(m-1)]}``, the components of R listed
-    in block order.  Pure; the genuine components of z are read but never
-    produced.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (A.dim,):
-        raise ValueError(f"vector has shape {z.shape}, expected ({A.dim},)")
-    if P.s < 1:
-        raise ValueError("partition has no non-genuine blocks")
-    if not 0 < lam < np.inf:
-        raise ValueError("lam must be finite and positive")
-    r_idx = _nongenuine_positions(P)
-    return (apply(A, z)[r_idx] / lam) ** (1.0 / (A.order - 1))
-
-
 def _residual(y: np.ndarray, z: np.ndarray, lam: float, m: int) -> float:
     """``||d||_2`` for ``d = y - lam z^{[m-1]}``, rescaled by ``max|d|`` if it overflows."""
     d = y - lam * z ** (m - 1)
@@ -234,7 +211,7 @@ def positive_perron_vector(
     z = np.zeros(A.dim)
     for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
         z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
-    r_idx = _nongenuine_positions(P)
+    r_idx = np.array([i - 1 for block in P.nongenuine_blocks() for i in block], dtype=np.intp)
     y = apply(A, z)
     if r_idx.size:
         # No entry leaves a genuine block and z_G never changes, so y_G is

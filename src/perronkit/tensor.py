@@ -16,7 +16,6 @@ __all__ = [
     "IndexPermutation",
     "apply",
     "principal_subtensor",
-    "identity_tensor",
     "permute",
     "read_tensor",
     "write_tensor",
@@ -228,12 +227,6 @@ def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTe
     idx = local[A.idx]
     keep = np.all(idx >= 0, axis=1)
     return NonnegativeTensor._from_coo(TensorShape(A.order, len(I)), idx[keep], A.vals[keep])
-
-
-def identity_tensor(shape: TensorShape) -> NonnegativeTensor:
-    """The tensor with unit super-diagonal entries; contracts any x to x**(m-1)."""
-    idx = np.repeat(np.arange(shape.dim)[:, None], shape.order, axis=1)
-    return NonnegativeTensor._from_coo(shape, idx, np.ones(shape.dim))
 
 
 def permute(A: NonnegativeTensor, sigma: IndexPermutation) -> NonnegativeTensor:

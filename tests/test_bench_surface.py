@@ -1,19 +1,22 @@
 """The names the benchmark looks up in the library still exist.
 
-``bench/spans.py`` wraps library functions by module and attribute name, and
+``bench/spans.py`` wraps library functions by module and attribute name,
+``bench/run.py`` and ``bench/inputs.py`` import names from the package, and
 ``bench/run.py`` reads the start scale back from ``PerronResult.gamma``.  A
-rename here would only show when a traced benchmark run crashes, so tier-1
-checks those names.  The module is loaded by path; nothing under ``bench/``
-is changed.
+rename or deletion here would only show when a benchmark run crashes, so
+tier-1 checks those names.  The scripts are loaded by path or parsed; nothing
+under ``bench/`` is changed.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 from perronkit import FixedPointConfig, positive_perron_vector
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def load_spans():
@@ -28,6 +31,19 @@ def test_every_wrapped_name_resolves():
     assert wraps
     for modname, attr, _, _ in wraps:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+
+def test_every_imported_name_resolves():
+    imports = [
+        (path.name, node.module, alias.name)
+        for path in sorted(BENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "perronkit"
+        for alias in node.names
+    ]
+    assert {filename for filename, _, _ in imports} >= {"inputs.py", "run.py"}
+    for filename, modname, attr in imports:
+        assert hasattr(importlib.import_module(modname), attr), (filename, modname, attr)
 
 
 def test_result_gamma_is_the_default_start_scale(four_blocks):

@@ -263,6 +263,17 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("perronkit: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("command", ["classify", "perron"])
+    def test_rho_tol_of_one_exits_1(self, fixture_file, command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "perronkit.cli", command, fixture_file, "--rho-tol", "1"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "perronkit: rho_equality_tol must be below 1\n"
+
     def test_overflowing_radius_exits_1(self, capsys, tmp_path):
         big = tmp_path / "big.tns"
         lines = ["3 2"] + [f"{key} 1e308" for key in ("1 1 1", "1 1 2", "2 2 2", "2 1 1")]

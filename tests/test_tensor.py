@@ -12,11 +12,8 @@ from perronkit import (
     NonnegativeTensor,
     TensorShape,
     apply,
-    canonical_partition,
     collatz_wielandt,
-    fixed_point_step,
     generate,
-    identity_tensor,
     is_strictly_nonnegative,
     permute,
     principal_subtensor,
@@ -139,10 +136,8 @@ class TestApply:
         # Building the copy costs several applies, so only loops that sweep
         # one tensor many times ask for it.
         A = four_blocks_tensor()
-        P = canonical_partition(A)
         is_strictly_nonnegative(A)
         collatz_wielandt(A, np.ones(A.dim))
-        fixed_point_step(A, P, np.ones(A.dim), 1.0)
         apply(A, np.ones(A.dim))
         assert "_rank_major" not in vars(A)
 
@@ -248,18 +243,8 @@ class TestPrincipalSubtensor:
 
 class TestIdentityTensor:
     def test_contraction_gives_componentwise_power(self):
-        I = identity_tensor(TensorShape(3, 2))
+        I = NonnegativeTensor(TensorShape(3, 2), {(1, 1, 1): 1.0, (2, 2, 2): 1.0})
         assert_allclose(apply(I, np.array([2.0, 3.0])), [4.0, 9.0])
-
-    def test_order_two_is_identity_matrix(self):
-        I = identity_tensor(TensorShape(2, 3))
-        assert I.entries == {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0}
-
-    def test_entry_count(self):
-        for m, n in [(2, 1), (3, 4), (5, 2)]:
-            I = identity_tensor(TensorShape(m, n))
-            assert I.nnz == n
-            assert all(v == 1.0 for v in I.entries.values())
 
 
 class TestPermutation:

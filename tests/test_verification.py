@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from perronkit import NonnegativeTensor, TensorShape, identity_tensor
+from perronkit import NonnegativeTensor, TensorShape
 from perronkit.selfcheck import random_tensor, run_selfcheck
 from perronkit.verification import (
     brute_force_apply,
@@ -31,7 +31,7 @@ class TestBruteForceApply:
         assert_allclose(brute_force_apply(view, np.ones(3)), np.zeros(3))
 
     def test_identity_tensor(self):
-        view = dense_view(identity_tensor(TensorShape(3, 4)))
+        view = dense_view(NonnegativeTensor(TensorShape(3, 4), {(i, i, i): 1.0 for i in range(1, 5)}))
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert_allclose(brute_force_apply(view, x), x**2)
 
