@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import PowerMethodConfig, _power_iteration
-from .tensor import NonnegativeTensor, TensorShape
+from .tensor import NonnegativeTensor, TensorShape, _checked_coo
 
 __all__ = ["GeneratorSpec", "generate", "generate_not_strong"]
 
@@ -86,9 +86,8 @@ def generate(spec: GeneratorSpec) -> NonnegativeTensor:
         idx_parts.append(chosen)
         val_parts.append(1.0 - rng.random(len(chosen)))
 
-    return NonnegativeTensor._from_coo(
-        shape, np.concatenate(idx_parts), np.concatenate(val_parts), sort=True
-    )
+    idx, vals = _checked_coo(n, np.concatenate(idx_parts) + 1, np.concatenate(val_parts))
+    return NonnegativeTensor._from_coo(shape, idx, vals)
 
 
 def generate_not_strong(spec: GeneratorSpec) -> NonnegativeTensor:

@@ -3,24 +3,12 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import NonnegativeTensor
 
-__all__ = ["CondensationOrder", "majorization", "scc_condensation", "is_irreducible"]
-
-
-@dataclass(frozen=True)
-class CondensationOrder:
-    """Strongly connected components of a digraph, topologically ordered.
-
-    ``blocks`` partition [1, n]; every edge of the digraph runs within a
-    block or from an earlier block to a later one.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
+__all__ = ["majorization", "scc_condensation", "is_irreducible"]
 
 
 def majorization(A: NonnegativeTensor) -> np.ndarray:
@@ -127,18 +115,19 @@ def _tail_condensation(A: NonnegativeTensor, mask: np.ndarray) -> np.ndarray:
     return _condense(n, keys)
 
 
-def scc_condensation(M: np.ndarray) -> CondensationOrder:
-    """SCCs of the digraph of M, topologically ordered.
+def scc_condensation(M: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """SCCs of the digraph of M as blocks of 1-based indices, topologically ordered.
 
-    Edges go from earlier blocks to later ones.  Among blocks that the edge
-    relation leaves unordered, the block containing the smallest original
-    index comes first, which makes the output deterministic.
+    The blocks partition [1, n], each in increasing order, and every edge
+    runs within a block or from an earlier block to a later one.  Among blocks
+    that the edge relation leaves unordered, the block containing the smallest
+    original index comes first, which makes the output deterministic.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return CondensationOrder(_groups(_condense(n, np.flatnonzero(M > 0))))
+    return _groups(_condense(n, np.flatnonzero(M > 0)))
 
 
 def _groups(pos: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -154,4 +143,4 @@ def is_irreducible(M: np.ndarray) -> bool:
     A 1x1 matrix counts as irreducible regardless of its value, matching
     the convention that one-dimensional tensors are weakly irreducible.
     """
-    return len(scc_condensation(M).blocks) == 1
+    return len(scc_condensation(M)) == 1

@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import _groups, _tail_condensation, majorization, scc_condensation
-from .tensor import IndexPermutation, NonnegativeTensor, principal_subtensor
+from .tensor import NonnegativeTensor, _int_indices, principal_subtensor
 
 __all__ = ["CanonicalPartition", "canonical_partition", "is_genuine", "verify_partition"]
 
@@ -20,7 +20,7 @@ class CanonicalPartition:
     Each block induces a weakly irreducible principal sub-tensor.  A block is
     *genuine* when no stored entry with first index in the block reaches
     outside it; the last block always is.  ``genuine`` flags each block, and
-    ``sigma`` (position p -> original index sigma(p)) lays the blocks end to end.
+    ``sigma`` lays the blocks end to end: ``sigma[p - 1]`` is the index at position p.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -39,14 +39,8 @@ class CanonicalPartition:
         return (False,) * self.s + (True,) * (self.r - self.s)
 
     @property
-    def sigma(self) -> IndexPermutation:
-        return IndexPermutation(tuple(i for block in self.blocks for i in block))
-
-    def genuine_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks[self.s:]
-
-    def nongenuine_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks[: self.s]
+    def sigma(self) -> tuple[int, ...]:
+        return tuple(i for block in self.blocks for i in block)
 
 
 def is_genuine(A: NonnegativeTensor, I: Iterable[int]) -> bool:
@@ -56,7 +50,7 @@ def is_genuine(A: NonnegativeTensor, I: Iterable[int]) -> bool:
     this predicate only scans the entry pattern.
     """
     members = np.zeros(A.dim, dtype=bool)
-    members[np.array(list(I), dtype=np.intp) - 1] = True
+    members[_int_indices(I) - 1] = True
     return bool(members[A.idx[members[A.idx[:, 0]]]].all())
 
 
@@ -110,7 +104,7 @@ def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
         block_of[np.array(block) - 1] = j
 
     for block in P.blocks:
-        if len(scc_condensation(majorization(principal_subtensor(A, block))).blocks) > 1:
+        if len(scc_condensation(majorization(principal_subtensor(A, block)))) > 1:
             return False
 
     row_block = block_of[A.idx[:, 0]]

@@ -211,7 +211,7 @@ def positive_perron_vector(
     z = np.zeros(A.dim)
     for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
         z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
-    r_idx = np.array([i - 1 for block in P.nongenuine_blocks() for i in block], dtype=np.intp)
+    r_idx = np.array([i - 1 for block in P.blocks[: P.s] for i in block], dtype=np.intp)
     y = apply(A, z)
     if r_idx.size:
         # No entry leaves a genuine block and z_G never changes, so y_G is

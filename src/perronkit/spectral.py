@@ -30,9 +30,12 @@ class PowerMethodConfig:
     """Stopping parameters for the higher-order power method.
 
     ``tolerance`` bounds the final Collatz-Wielandt gap alpha - beta; it must
-    be finite and positive.  ``max_iterations`` caps the sweeps.  The
-    iteration always runs on the input plus the identity tensor, which
-    guarantees global R-linear convergence on weakly irreducible inputs.
+    be finite and positive.  Since rounding leaves a few ulps of alpha under
+    the gap, a block stops at gap <= max(tolerance, 8 * eps * alpha), with
+    alpha the top of the shifted bracket: no scaling of the input puts that
+    stop out of reach.  ``max_iterations`` caps the sweeps.  The iteration
+    always runs on the input plus the identity tensor, which guarantees
+    global R-linear convergence on weakly irreducible inputs.
     """
 
     tolerance: float = 1e-10
@@ -108,7 +111,7 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
 
     Iterates ``x <- normalize((A x^{m-1})^{[1/(m-1)]})`` from the uniform
     positive vector, where A is B plus the identity tensor, and stops once
-    the Collatz-Wielandt gap alpha - beta falls below the tolerance.  The
+    the Collatz-Wielandt gap alpha - beta meets the configured stop.  The
     radius is reported as the midpoint of the final bracket, shift removed.
     One-dimensional inputs are solved in closed form: the radius is the
     single diagonal entry (zero if absent) and the vector is 1.
@@ -149,6 +152,7 @@ def _power_iteration(
 
     D = _plus_identity(D)
     exponent = 1.0 / (m - 1)
+    floor = 8 * np.finfo(np.float64).eps  # times alpha, the stop's rounding floor
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
     active = [j for j in range(r) if sizes[j] > 1]
     frozen = np.repeat(sizes == 1, sizes)
@@ -156,8 +160,7 @@ def _power_iteration(
     traces: list[list[tuple[float, float]]] = [[] for _ in range(r)]
     # Each block's record (rho, gap, iterate, sweep) at its smallest gap so far:
     # a 1x1 block's is its closed form, and a block whose iterate lost positivity
-    # has none.  A converged block's record is the sweep that met the tolerance,
-    # since every earlier gap was above it.
+    # has none.  A converged block's record is the sweep that met the stop.
     best = {j: (float(row_sums[b[0] - 1]), 0.0, x, 0) for j, b in enumerate(blocks) if len(b) == 1}
 
     for k in range(1, cfg.max_iterations + 1):
@@ -184,9 +187,10 @@ def _power_iteration(
             seg = x_new[lo:hi]
             seg /= seg.sum()
             gap = alpha - beta
-            if j not in best or gap < best[j][1]:
+            met = gap <= max(cfg.tolerance, floor * alpha)
+            if j not in best or gap < best[j][1] or met:
                 best[j] = ((alpha + beta) / 2 - 1.0, gap, x_new, k)  # a fresh x_new each sweep
-            if gap <= cfg.tolerance:
+            if met:
                 frozen[lo:hi] = True
             else:
                 still.append(j)
@@ -194,7 +198,7 @@ def _power_iteration(
         x = x_new
 
     # Report the first failed block in block order, as a block-by-block run would.
-    spectra = []
+    spectra, unmet = [], set(active)
     for j, (lo, hi) in enumerate(bounds):
         if j not in best:
             raise ZeroIterate(
@@ -202,7 +206,7 @@ def _power_iteration(
             )
         rho, gap, x_best, k = best[j]
         spectra.append(BlockSpectrum(rho, x_best[lo:hi].copy(), k, gap, tuple(traces[j])))
-        if gap > cfg.tolerance:
+        if j in unmet:
             raise NotConverged(
                 f"power method gap {gap:.3e} above tolerance {cfg.tolerance:.3e} "
                 f"after {cfg.max_iterations} iterations",

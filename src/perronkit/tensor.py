@@ -6,14 +6,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "TensorShape",
     "NonnegativeTensor",
-    "IndexPermutation",
     "apply",
     "principal_subtensor",
     "permute",
@@ -61,29 +60,23 @@ class NonnegativeTensor:
     def __init__(self, shape: TensorShape, entries: Mapping | None = None) -> None:
         m = shape.order
         entries = entries or {}
-        keys = list(entries)
         try:
-            idx = np.array(keys, dtype=np.intp).reshape(len(keys), m)
+            idx = _int_indices(entries).reshape(len(entries), m)
         except (TypeError, ValueError):
             raise ValueError(f"every index tuple must hold {m} integer indices") from None
         vals = np.array(list(entries.values()), dtype=np.float64)
-        self._set(shape, *_checked_coo(shape.dim, idx, vals), sort=False)
+        self._set(shape, *_checked_coo(shape.dim, idx, vals))
 
     @classmethod
-    def _from_coo(
-        cls, shape: TensorShape, idx, vals, sort: bool = False, swept: bool = False
-    ) -> NonnegativeTensor:
-        # Trusted constructor: idx (intp) rows distinct, 0-based and in range,
-        # vals (float64) positive.  With sort the rows are ordered here.  With
-        # swept, apply reads the rank-major copy, built at its first call.
+    def _from_coo(cls, shape: TensorShape, idx, vals, swept: bool = False) -> NonnegativeTensor:
+        # Trusted constructor: idx (intp) rows distinct, 0-based, in range and
+        # in lexicographic order, vals (float64) positive.  With swept, apply
+        # reads the rank-major copy, built at its first call.
         A = cls.__new__(cls)
-        A._set(shape, idx, vals, sort, swept)
+        A._set(shape, idx, vals, swept)
         return A
 
-    def _set(self, shape: TensorShape, idx, vals, sort: bool, swept: bool = False) -> None:
-        if sort:
-            order = np.lexsort(idx.T[::-1])
-            idx, vals = idx[order], vals[order]
+    def _set(self, shape: TensorShape, idx, vals, swept: bool = False) -> None:
         idx = np.asfortranarray(idx)  # contiguous columns make apply's gathers fast
         idx.flags.writeable = False
         vals.flags.writeable = False
@@ -134,27 +127,13 @@ class NonnegativeTensor:
         return f"NonnegativeTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
 
-@dataclass(frozen=True)
-class IndexPermutation:
-    """A bijection on [1, n], stored as the image tuple ``(sigma(1), ..., sigma(n))``."""
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", tuple(int(i) for i in self.sigma))
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, n + 1)):
-            raise ValueError(f"{self.sigma} is not a permutation of [1, {n}]")
-
-    @classmethod
-    def identity(cls, n: int) -> "IndexPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-    def __call__(self, i: int) -> int:
-        return self.sigma[i - 1]
-
-    def __len__(self) -> int:
-        return len(self.sigma)
+def _int_indices(values: Iterable) -> np.ndarray:
+    # The values as an intp array.  Only integers pass, or no values at all: a
+    # float or string index is an error, never truncated or parsed.
+    a = np.array(list(values))
+    if a.size and (a.dtype.kind not in "iu" or a.max() > np.iinfo(np.intp).max):
+        raise ValueError(f"indices must be {np.dtype(np.intp)} integers, got {a.dtype}")
+    return a.astype(np.intp)
 
 
 def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +191,7 @@ def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTe
     Keeps exactly the entries all of whose indices lie in I.  I must be a
     nonempty strictly increasing sequence of indices from [1, n].
     """
-    I = np.array(list(I), dtype=np.intp)
+    I = _int_indices(I)
     if not len(I):
         raise ValueError("index set I must be nonempty")
     n = A.dim
@@ -229,13 +208,18 @@ def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTe
     return NonnegativeTensor._from_coo(TensorShape(A.order, len(I)), idx[keep], A.vals[keep])
 
 
-def permute(A: NonnegativeTensor, sigma: IndexPermutation) -> NonnegativeTensor:
-    """Relabel indices by sigma: the result B satisfies B[i1,...,im] = A[sigma(i1),...,sigma(im)]."""
-    if len(sigma) != A.dim:
-        raise ValueError(f"permutation on {len(sigma)} elements, tensor dimension {A.dim}")
-    inv = np.empty(A.dim, dtype=np.intp)
-    inv[np.array(sigma.sigma) - 1] = np.arange(A.dim)
-    return NonnegativeTensor._from_coo(A.shape, inv[A.idx], A.vals, sort=True)
+def permute(A: NonnegativeTensor, sigma: Sequence[int]) -> NonnegativeTensor:
+    """Relabel indices by a permutation of [1, n], given as ``(sigma(1), ..., sigma(n))``.
+
+    The result B satisfies B[i1,...,im] = A[sigma(i1),...,sigma(im)].
+    """
+    n = A.dim
+    images = _int_indices(sigma)
+    if not np.array_equal(np.sort(images), np.arange(1, n + 1)):
+        raise ValueError(f"{tuple(images.tolist())} is not a permutation of [1, {n}]")
+    inv = np.empty(n, dtype=np.intp)
+    inv[images - 1] = np.arange(1, n + 1)
+    return NonnegativeTensor._from_coo(A.shape, *_checked_coo(n, inv[A.idx], A.vals))
 
 
 def write_tensor(A: NonnegativeTensor, path) -> None:

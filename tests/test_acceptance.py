@@ -13,7 +13,6 @@ from scipy import stats
 from perronkit import (
     FixedPointConfig,
     GeneratorSpec,
-    IndexPermutation,
     NonnegativeTensor,
     Outcome,
     PowerMethodConfig,
@@ -235,7 +234,7 @@ def test_criterion_6_property_suite():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         A = random_tensor(rng, 3, n, nnz=int(rng.integers(1, 3 * n)))
-        sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
+        sigma = tuple(int(v) for v in rng.permutation(n) + 1)
         worst_perm = max(
             worst_perm,
             abs(spectral_radius(permute(A, sigma), cfg) - spectral_radius(A, cfg)),

@@ -107,11 +107,11 @@ class TestMajorization:
 class TestSccCondensation:
     def test_counterexample_tensor_blocks(self, tiny_mixed):
         cond = scc_condensation(majorization(tiny_mixed))
-        assert cond.blocks == ((1, 2), (3,))
+        assert cond == ((1, 2), (3,))
 
     def test_identity_matrix_gives_singletons(self):
         cond = scc_condensation(np.eye(3))
-        assert cond.blocks == ((1,), (2,), (3,))
+        assert cond == ((1,), (2,), (3,))
 
     def test_full_cycle_is_single_block(self):
         n = 5
@@ -119,7 +119,7 @@ class TestSccCondensation:
         for i in range(n):
             M[i, (i + 1) % n] = 1.0
         assert is_irreducible(M)
-        assert scc_condensation(M).blocks == (tuple(range(1, n + 1)),)
+        assert scc_condensation(M) == (tuple(range(1, n + 1)),)
 
     def test_blocks_partition_and_order_is_valid(self):
         # independent validity check: blocks cover [1, n], each block is
@@ -129,9 +129,9 @@ class TestSccCondensation:
             n = int(rng.integers(2, 9))
             M = np.where(rng.random((n, n)) < 0.3, rng.random((n, n)), 0.0)
             cond = scc_condensation(M)
-            flat = sorted(i for b in cond.blocks for i in b)
+            flat = sorted(i for b in cond for i in b)
             assert flat == list(range(1, n + 1))
-            for block in cond.blocks:
+            for block in cond:
                 idx = np.array(block) - 1
                 sub = NonnegativeTensor(
                     TensorShape(2, len(block)),
@@ -144,7 +144,7 @@ class TestSccCondensation:
                 )
                 assert entry_digraph_strongly_connected(sub)
             pos = {}
-            for p, block in enumerate(cond.blocks):
+            for p, block in enumerate(cond):
                 for i in block:
                     pos[i] = p
             for i in range(n):
@@ -177,7 +177,7 @@ class TestSccCondensation:
                 nxt = min(free, key=lambda c: comps[c][0])
                 expected.append(tuple(comps[nxt]))
                 left[nxt] = False
-            assert scc_condensation(M).blocks == tuple(expected)
+            assert scc_condensation(M) == tuple(expected)
 
 
 class TestIsIrreducible:

@@ -8,7 +8,6 @@ import pytest
 import perronkit.partition as partition
 from perronkit import (
     CanonicalPartition,
-    IndexPermutation,
     NonnegativeTensor,
     TensorShape,
     canonical_partition,
@@ -33,10 +32,10 @@ def _refine(A: NonnegativeTensor, labels: tuple[int, ...]) -> list[tuple[int, ..
     # each diagonal block's principal sub-tensor (whose majorization can be
     # strictly sparser than the corresponding submatrix).
     cond = scc_condensation(majorization(A))
-    if len(cond.blocks) == 1:
+    if len(cond) == 1:
         return [labels]
     out: list[tuple[int, ...]] = []
-    for local_block in cond.blocks:
+    for local_block in cond:
         sub = principal_subtensor(A, local_block)
         out.extend(_refine(sub, tuple(labels[i - 1] for i in local_block)))
     return out
@@ -54,9 +53,9 @@ def reference_partition(A: NonnegativeTensor) -> CanonicalPartition:
 def refinement_levels(A: NonnegativeTensor) -> int:
     """Depth of the reference recursion; 1 when A is weakly irreducible."""
     cond = scc_condensation(majorization(A))
-    if len(cond.blocks) == 1:
+    if len(cond) == 1:
         return 1
-    return 1 + max(refinement_levels(principal_subtensor(A, b)) for b in cond.blocks)
+    return 1 + max(refinement_levels(principal_subtensor(A, b)) for b in cond)
 
 
 class TestMatchesRecursion:
@@ -174,10 +173,10 @@ class TestCanonicalPartition:
             genuine_sets = {
                 frozenset(b) for b, g in zip(P.blocks, P.genuine) if g
             }
-            sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
+            sigma = tuple(int(v) for v in rng.permutation(n) + 1)
             Q = canonical_partition(permute(A, sigma))
             mapped = {
-                frozenset(sigma(i) for i in b)
+                frozenset(sigma[i - 1] for i in b)
                 for b, g in zip(Q.blocks, Q.genuine)
                 if g
             }
@@ -204,9 +203,9 @@ class TestStoredFacts:
     def test_flags_and_sigma_follow_blocks_and_s(self):
         P = CanonicalPartition(((2, 4), (1,), (3,)), s=1)
         assert P.genuine == (False, True, True)
-        assert P.sigma == IndexPermutation((2, 4, 1, 3))
-        assert P.nongenuine_blocks() == ((2, 4),)
-        assert P.genuine_blocks() == ((1,), (3,))
+        assert P.sigma == (2, 4, 1, 3)
+        assert P.blocks[: P.s] == ((2, 4),)
+        assert P.blocks[P.s :] == ((1,), (3,))
 
     @pytest.mark.parametrize("s", [-1, 3])
     def test_s_outside_range_raises(self, s):
@@ -224,6 +223,15 @@ class TestIsGenuine:
 
     def test_full_index_set(self, tiny_mixed):
         assert is_genuine(tiny_mixed, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "I",
+        [(1.9, 2.5, 3.1), np.array([2**63], dtype=np.uint64)],
+        ids=["floats", "uint64-beyond-intp"],
+    )
+    def test_non_integer_index_set_rejected(self, tiny_mixed, I):
+        with pytest.raises(ValueError, match="indices must be .* integers"):
+            is_genuine(tiny_mixed, I)
 
     def test_matches_entry_loop(self):
         rng = np.random.default_rng(16)

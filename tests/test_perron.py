@@ -342,7 +342,7 @@ def reference_fixed_point(A, cfg):
     z = np.zeros(A.dim)
     for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
         z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
-    r_idx = np.array([i - 1 for block in P.nongenuine_blocks() for i in block], dtype=np.intp)
+    r_idx = np.array([i - 1 for block in P.blocks[: P.s] for i in block], dtype=np.intp)
     y = apply(A, z)
     trace = []
     step_norm = np.inf if r_idx.size else 0.0
@@ -393,7 +393,7 @@ class TestRowsOfR:
         monkeypatch.setattr(perron, "apply", counted)
         res = positive_perron_vector(A)
         P = res.classification.partition
-        r_rows = np.isin(A.idx[:, 0], [i - 1 for b in P.nongenuine_blocks() for i in b])
+        r_rows = np.isin(A.idx[:, 0], [i - 1 for b in P.blocks[: P.s] for i in b])
         assert 0 < r_rows.sum() < A.nnz
         assert len(calls) == res.iterations + 1
         assert calls[0] is A
@@ -405,7 +405,7 @@ class TestRowsOfR:
 
 def fixed_point_step(A, P, z, lam):
     """The paper's update on R: ``((A z^{m-1})_R / lam)^{[1/(m-1)]}``, R in block order."""
-    r_idx = np.array([i - 1 for block in P.nongenuine_blocks() for i in block], dtype=np.intp)
+    r_idx = np.array([i - 1 for block in P.blocks[: P.s] for i in block], dtype=np.intp)
     return (apply(A, z)[r_idx] / lam) ** (1 / (A.order - 1))
 
 
@@ -481,7 +481,7 @@ class TestNecessity:
         escaped = False
         for _ in range(5000):
             w = fixed_point_step(A, P, z, lam)
-            r_idx = np.array([i - 1 for b in P.nongenuine_blocks() for i in b])
+            r_idx = np.array([i - 1 for b in P.blocks[: P.s] for i in b])
             z[r_idx] = w
             if w.max() > 1e6:
                 escaped = True
@@ -501,7 +501,7 @@ class TestNecessity:
         for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
             if g:
                 z[np.array(block) - 1] = sp.vector
-        r_idx = np.array([i - 1 for b in P.nongenuine_blocks() for i in b])
+        r_idx = np.array([i - 1 for b in P.blocks[: P.s] for i in b])
         if len(r_idx):
             z[r_idx] = 1e-3
             for _ in range(5000):

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 import perronkit.spectral as spectral
 from perronkit import (
     GeneratorSpec,
-    IndexPermutation,
     NonnegativeTensor,
     NotConverged,
     PowerMethodConfig,
@@ -23,8 +22,10 @@ from perronkit import (
     collatz_wielandt,
     generate,
     generate_not_strong,
+    is_irreducible,
     is_nontrivially_nonnegative,
     is_strictly_nonnegative,
+    majorization,
     permute,
     positive_perron_vector,
     power_method,
@@ -39,8 +40,8 @@ from conftest import all_ones_tensor
 
 
 def reference_power_method(B, cfg=None):
-    # The block-at-a-time loop that block_spectra replaced, kept verbatim as
-    # the reference its results must equal bit for bit.
+    # The block-at-a-time loop that block_spectra replaced, kept as the
+    # reference its results must equal bit for bit.  It takes the same stop.
     cfg = cfg or PowerMethodConfig()
     m, n = B.order, B.dim
     if n == 1:
@@ -68,7 +69,7 @@ def reference_power_method(B, cfg=None):
         gap = alpha - beta
         if best is None or gap < best[0] - best[1]:
             best = (alpha, beta, x, k)
-        if gap <= cfg.tolerance:
+        if gap <= max(cfg.tolerance, 8 * np.finfo(np.float64).eps * alpha):
             return spectral.BlockSpectrum(
                 rho=(alpha + beta) / 2 - 1.0,
                 vector=x,
@@ -141,11 +142,24 @@ def budget_corpus():
     A = NonnegativeTensor(A.shape, {**A.entries, **ones})
     cfg = PowerMethodConfig(tolerance=1e-14, max_iterations=3)
     yield A, cfg, True
-    # Then every reference tensor on a short budget, and on one long enough for
-    # the gaps to stall at rounding level, where the best sweep is not the last.
+    # Then every reference tensor on two short budgets.
     for case in reference_corpus():
-        for tolerance, k in ((1e-14, 1), (1e-14, 3), (1e-300, 60)):
-            yield case.values[0], PowerMethodConfig(tolerance=tolerance, max_iterations=k), False
+        for k in (1, 3):
+            yield case.values[0], PowerMethodConfig(tolerance=1e-14, max_iterations=k), False
+
+
+def scaled_family(seed, count):
+    # Random weakly irreducible order-3 tensors: n in 3..8, 6n entries
+    # uniform on [0.1, 1].
+    rng = np.random.default_rng(seed)
+    family = []
+    while len(family) < count:
+        n = int(rng.integers(3, 9))
+        keys = [tuple(int(i) for i in rng.integers(1, n + 1, size=3)) for _ in range(6 * n)]
+        A = NonnegativeTensor(TensorShape(3, n), {k: float(rng.uniform(0.1, 1)) for k in keys})
+        if is_irreducible(majorization(A)):
+            family.append(A)
+    return family
 
 
 def first_block_tensor() -> NonnegativeTensor:
@@ -262,6 +276,14 @@ class TestPowerMethod:
         best = excinfo.value.best
         assert best is not None
         assert best.rho == pytest.approx(1.3183, abs=0.1)
+
+    @pytest.mark.parametrize("c", [1e3, 1e6, 1e12, 1e100, 1e300])
+    def test_scaled_input_converges_at_default_tolerance(self, c):
+        # Rounding leaves a few ulps of alpha under the gap, far above the
+        # default tolerance at these radii; the stop's floor 8 eps alpha is met.
+        for A in scaled_family(23, 20):
+            B = NonnegativeTensor(A.shape, {k: v * c for k, v in A.entries.items()})
+            assert power_method(B).rho / c == pytest.approx(power_method(A).rho, rel=1e-9)
 
     def test_zero_iterate_on_weakly_reducible(self):
         # Row 1 holds no entry, so with the shift its component only shrinks
@@ -383,7 +405,7 @@ class TestSpectralRadius:
         for _ in range(15):
             n = int(rng.integers(2, 7))
             A = random_tensor(rng, 3, n, nnz=int(rng.integers(1, 3 * n)))
-            sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
+            sigma = tuple(int(v) for v in rng.permutation(n) + 1)
             assert spectral_radius(permute(A, sigma), cfg) == pytest.approx(
                 spectral_radius(A, cfg), abs=2 * cfg.tolerance
             )
@@ -415,6 +437,16 @@ class TestBlockSpectra:
         assert len(spectra) == len(P.blocks) > 1
         for block, sp in zip(P.blocks, spectra):
             assert_same_spectrum(sp, reference_power_method(principal_subtensor(A, block), cfg))
+
+    @pytest.mark.parametrize("A, cfg", list(reference_corpus()))
+    def test_rounding_floor_stops_stalled_gaps(self, A, cfg):
+        # At tolerance 1e-300 the gaps stall at rounding level, where the
+        # floor 8 eps alpha stops every block well inside the budget.
+        cfg = PowerMethodConfig(tolerance=1e-300, max_iterations=60)
+        P, spectra = block_spectra(A, cfg)
+        for block, sp in zip(P.blocks, spectra):
+            assert_same_spectrum(sp, reference_power_method(principal_subtensor(A, block), cfg))
+            assert sp.gap < 1e-12
 
     def test_not_converged_reports_first_unconverged_block(self):
         for A, cfg, first_converges in budget_corpus():

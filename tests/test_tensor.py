@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from perronkit import (
     GeneratorSpec,
-    IndexPermutation,
     NonnegativeTensor,
     TensorShape,
     apply,
@@ -59,6 +58,21 @@ class TestConstruction:
             NonnegativeTensor(TensorShape(3, 2), {(1, 1): 1.0})
         with pytest.raises(ValueError):
             NonnegativeTensor(TensorShape(3, 2), {(1, 1, 1): 1.0, (1, 1): 2.0})
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(1.5, 1): 1.0, (2, 2.9): 2.0},
+            {("1", "2"): 1.0},
+            {(1.2, 1): 1.0, (1.7, 1): 2.0},
+            {(2**70, 1): 1.0},
+        ],
+        ids=["floats", "strings", "floats-truncating-to-one-entry", "beyond-intp"],
+    )
+    def test_non_integer_index_rejected(self, entries):
+        # an index is never truncated, parsed or overflowed into a valid one
+        with pytest.raises(ValueError, match="must hold 2 integer indices"):
+            NonnegativeTensor(TensorShape(2, 2), entries)
 
     def test_storage_is_sorted_and_immutable(self):
         sorted_entries = {(1, 1, 2): 1.0, (1, 2, 1): 2.0, (2, 1, 1): 3.0, (2, 2, 2): 4.0}
@@ -240,6 +254,15 @@ class TestPrincipalSubtensor:
         with pytest.raises(ValueError):
             principal_subtensor(tiny_mixed, [0, 1])
 
+    @pytest.mark.parametrize(
+        "I",
+        [(1.7, 2.2), ("1", "2"), np.array([1, 2**63], dtype=np.uint64)],
+        ids=["floats", "strings", "uint64-beyond-intp"],
+    )
+    def test_non_integer_index_set_rejected(self, tiny_mixed, I):
+        with pytest.raises(ValueError, match="indices must be .* integers"):
+            principal_subtensor(tiny_mixed, I)
+
 
 class TestIdentityTensor:
     def test_contraction_gives_componentwise_power(self):
@@ -248,16 +271,22 @@ class TestIdentityTensor:
 
 
 class TestPermutation:
-    def test_bijection_required(self):
-        with pytest.raises(ValueError):
-            IndexPermutation((1, 1, 3))
+    def test_bijection_required(self, tiny_mixed):
+        # one check covers a repeat, a wrong length and an index out of range
+        for sigma in [(1, 1, 3), (1, 2), (1, 2, 3, 4), (0, 1, 2)]:
+            with pytest.raises(ValueError, match=r"is not a permutation of \[1, 3\]"):
+                permute(tiny_mixed, sigma)
+
+    def test_non_integer_images_rejected(self, tiny_mixed):
+        with pytest.raises(ValueError, match="indices must be .* integers"):
+            permute(tiny_mixed, (2.0, 1.0, 3.0))
 
     def test_identity_permutation(self, tiny_mixed):
-        assert permute(tiny_mixed, IndexPermutation.identity(3)) == tiny_mixed
+        assert permute(tiny_mixed, (1, 2, 3)) == tiny_mixed
 
     def test_swap_respects_symmetry(self, tiny_mixed):
         # swapping 1 and 2 maps the entry set onto itself
-        swapped = permute(tiny_mixed, IndexPermutation((2, 1, 3)))
+        swapped = permute(tiny_mixed, (2, 1, 3))
         assert swapped == tiny_mixed
 
     def test_contraction_transport(self):
@@ -267,11 +296,11 @@ class TestPermutation:
         for _ in range(15):
             n = int(rng.integers(2, 7))
             A = random_tensor(rng, 3, n, nnz=15)
-            sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
+            sigma = tuple(int(v) for v in rng.permutation(n) + 1)
             x = 0.1 + rng.random(n)
-            y = np.array([x[sigma(i) - 1] for i in range(1, n + 1)])
+            y = np.array([x[sigma[i - 1] - 1] for i in range(1, n + 1)])
             lhs = apply(permute(A, sigma), y)
-            rhs = np.array([apply(A, x)[sigma(i) - 1] for i in range(1, n + 1)])
+            rhs = np.array([apply(A, x)[sigma[i - 1] - 1] for i in range(1, n + 1)])
             assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
     def test_composition(self):
@@ -279,9 +308,9 @@ class TestPermutation:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             A = random_tensor(rng, 3, n, nnz=12)
-            sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
-            tau = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
-            composed = IndexPermutation(tuple(sigma(tau(i)) for i in range(1, n + 1)))
+            sigma = tuple(int(v) for v in rng.permutation(n) + 1)
+            tau = tuple(int(v) for v in rng.permutation(n) + 1)
+            composed = tuple(sigma[tau[i - 1] - 1] for i in range(1, n + 1))
             assert permute(permute(A, sigma), tau) == permute(A, composed)
 
     def test_matches_entry_loop(self):
@@ -289,16 +318,16 @@ class TestPermutation:
         for _ in range(20):
             m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
             A = random_tensor(rng, m, n, nnz=25)
-            sigma = IndexPermutation(tuple(int(v) for v in rng.permutation(n) + 1))
-            inv = {image: i for i, image in enumerate(sigma.sigma, start=1)}
+            sigma = tuple(int(v) for v in rng.permutation(n) + 1)
+            inv = {image: i for i, image in enumerate(sigma, start=1)}
             expected = {tuple(inv[i] for i in key): v for key, v in A.entries.items()}
             assert permute(A, sigma).entries == expected
 
     def test_inverse_roundtrip(self):
         A = random_tensor(np.random.default_rng(15), 3, 3, nnz=12)
-        sigma = IndexPermutation((3, 1, 2))
-        inverse = IndexPermutation((2, 3, 1))
-        assert tuple(sigma(inverse(i)) for i in (1, 2, 3)) == (1, 2, 3)
+        sigma = (3, 1, 2)
+        inverse = (2, 3, 1)
+        assert tuple(sigma[inverse[i - 1] - 1] for i in (1, 2, 3)) == (1, 2, 3)
         assert permute(A, sigma) != A
         assert permute(permute(A, sigma), inverse) == A
 
