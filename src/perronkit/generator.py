@@ -28,9 +28,11 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "block_sizes", tuple(int(b) for b in self.block_sizes))
-        if not self.block_sizes or any(b < 1 for b in self.block_sizes):
+        sizes = tuple(self.block_sizes)
+        integer = all(isinstance(b, (int, np.integer)) and not isinstance(b, bool) for b in sizes)
+        if not sizes or not integer or any(b < 1 for b in sizes):
             raise ValueError("block_sizes must be a nonempty list of positive integers")
+        object.__setattr__(self, "block_sizes", tuple(int(b) for b in sizes))
         if not 1 < self.rt < np.inf:
             raise ValueError("rt must be finite and > 1")
         if not 0 < self.den <= 1:

@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import _groups, _tail_condensation, majorization, scc_condensation
-from .tensor import NonnegativeTensor, _int_indices, principal_subtensor
+from .tensor import NonnegativeTensor, _index_set, principal_subtensor
 
 __all__ = ["CanonicalPartition", "canonical_partition", "is_genuine", "verify_partition"]
 
@@ -50,7 +50,7 @@ def is_genuine(A: NonnegativeTensor, I: Iterable[int]) -> bool:
     this predicate only scans the entry pattern.
     """
     members = np.zeros(A.dim, dtype=bool)
-    members[_int_indices(I) - 1] = True
+    members[_index_set(I, A.dim) - 1] = True
     return bool(members[A.idx[members[A.idx[:, 0]]]].all())
 
 

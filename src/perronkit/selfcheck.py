@@ -59,11 +59,11 @@ def _check_majorization(rng: np.random.Generator, instances: int) -> dict:
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 6))
         A = random_tensor(rng, m, n, nnz=int(rng.integers(1, 2 * n * m)), integer_values=True)
-        view = dense_view(A).array
+        arr = dense_view(A)
         M = majorization(A)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                ref = sum(view[(i - 1,) + tuple(t - 1 for t in tail)]
+                ref = sum(arr[(i - 1,) + tuple(t - 1 for t in tail)]
                           for tail in sorted(enumerate_index_class(j, A.shape)))
                 if M[i - 1, j - 1] != ref:
                     mismatches += 1

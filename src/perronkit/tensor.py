@@ -136,6 +136,15 @@ def _int_indices(values: Iterable) -> np.ndarray:
     return a.astype(np.intp)
 
 
+def _index_set(I: Iterable, n: int) -> np.ndarray:
+    # _int_indices, each of them in [1, n].
+    I = _int_indices(I)
+    outside = I[(I < 1) | (I > n)]
+    if len(outside):
+        raise ValueError(f"index {outside[0]} out of range [1, {n}]")
+    return I
+
+
 def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Validate 1-based index rows and their values, as they come from outside.
 
@@ -191,13 +200,10 @@ def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTe
     Keeps exactly the entries all of whose indices lie in I.  I must be a
     nonempty strictly increasing sequence of indices from [1, n].
     """
-    I = _int_indices(I)
+    n = A.dim
+    I = _index_set(I, n)
     if not len(I):
         raise ValueError("index set I must be nonempty")
-    n = A.dim
-    outside = I[(I < 1) | (I > n)]
-    if len(outside):
-        raise ValueError(f"index {outside[0]} out of range [1, {n}]")
     if np.any(I[1:] <= I[:-1]):
         raise ValueError(f"index set {tuple(I.tolist())} must be strictly increasing")
     # An increasing relabelling keeps the surviving rows in lexicographic order.

@@ -3,8 +3,10 @@
 Everything here recomputes results from first principles (dense enumeration,
 boolean closure, matrix-only power iteration) without touching the sparse
 contraction, Tarjan, or tensor power-method code, so agreement between the
-two routes is meaningful evidence of correctness.  The CLI ``verify``
-command runs the same checks end to end.
+two routes is meaningful evidence of correctness.  The oracles take and
+return plain numpy arrays: ``dense_view(A)`` is the full n^m array of A, and
+``brute_force_apply`` contracts such an array.  The CLI ``verify`` command
+runs the same checks end to end.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .tensor import NonnegativeTensor, TensorShape
 
 __all__ = [
-    "DenseTensorView",
     "dense_view",
     "brute_force_apply",
     "enumerate_index_class",
@@ -28,33 +29,17 @@ __all__ = [
 _SIZE_LIMIT = 10**7
 
 
-@dataclass(frozen=True, eq=False)
-class DenseTensorView:
-    """Full n^m array mirroring a sparse tensor entrywise."""
-
-    array: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.array.ndim
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0] if self.array.ndim else 1
-
-
-def dense_view(A: NonnegativeTensor) -> DenseTensorView:
-    """Materialize every coordinate of A, stored zeros included."""
+def dense_view(A: NonnegativeTensor) -> np.ndarray:
+    """Materialize every coordinate of A as the full n^m array, zeros included."""
     arr = np.zeros((A.dim,) * A.order)
     for key, value in A.entries.items():
         arr[tuple(i - 1 for i in key)] = value
-    return DenseTensorView(arr)
+    return arr
 
 
-def brute_force_apply(view: DenseTensorView, x: np.ndarray) -> np.ndarray:
-    """Contraction by direct enumeration of all n^(m-1) index tuples per row."""
-    arr = view.array
-    m, n = view.order, view.dim
+def brute_force_apply(arr: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Contract the n^m array by enumerating all n^(m-1) index tuples per row."""
+    m, n = arr.ndim, arr.shape[0]
     if n ** (m - 1) > _SIZE_LIMIT:
         raise ValueError(f"enumeration size {n}^{m - 1} exceeds limit {_SIZE_LIMIT}")
     x = np.asarray(x, dtype=np.float64)
@@ -135,7 +120,6 @@ def matrix_reference(M: np.ndarray, rho_tol: float = 1e-6) -> MatrixReference:
         raise ValueError("matrix_reference is limited to n <= 50")
 
     reach = M > 0
-    reach = reach.copy()
     for k in range(n):
         reach |= np.outer(reach[:, k], reach[k, :])
     mutual = reach & reach.T

@@ -133,7 +133,7 @@ def test_criterion_4_oracle_equivalence():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 6))
         A = random_tensor(rng, m, n, nnz=int(rng.integers(1, 3 * n)), integer_values=True)
-        arr = dense_view(A).array
+        arr = dense_view(A)
         M = majorization(A)
         for j in range(1, n + 1):
             tails = enumerate_index_class(j, A.shape)

@@ -176,6 +176,20 @@ class TestCommands:
         validate(payload, "verify")
         assert payload["passed"] is True
 
+    def test_verify_plain(self, capsys):
+        # Each check is a dict inside the "checks" list: its keys print one
+        # level deeper than the list, so every check has an indented name line.
+        _, out = run(capsys, "verify")
+        names = [check["name"] for check in json.loads(out)["checks"]]
+        code, out = run(capsys, "verify", "--format", "plain")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "passed: True"
+        assert "checks:" in lines
+        assert [line for line in lines if line.lstrip().startswith("name: ")] == [
+            f"    name: {name}" for name in names
+        ]
+
     def test_repro_example(self, capsys):
         code, out = run(capsys, "repro-example")
         payload = json.loads(out)

@@ -1,5 +1,6 @@
 """Random instance generator: structure, determinism and classification."""
 
+import numpy as np
 import pytest
 
 import perronkit.generator as generator
@@ -90,6 +91,20 @@ class TestGenerate:
             GeneratorSpec(block_sizes=(2,), rt=1.0, den=0.5, seed=0)
         with pytest.raises(ValueError):
             GeneratorSpec(block_sizes=(2,), rt=2.0, den=0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(8.7, 3.2), (True, 3), ("3", 4), (np.float64(3.0), 2), (np.bool_(True), 2)],
+        ids=["floats", "bool", "string", "numpy-float", "numpy-bool"],
+    )
+    def test_non_integer_block_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="block_sizes must be a nonempty list of positive integers"):
+            GeneratorSpec(block_sizes=sizes, rt=2.0, den=0.5, seed=0)
+
+    def test_numpy_integer_block_sizes_accepted(self):
+        spec = GeneratorSpec(block_sizes=(np.int64(2), np.uint8(3)), rt=2.0, den=0.5, seed=0)
+        assert spec.block_sizes == (2, 3)
+        assert all(type(b) is int for b in spec.block_sizes)
 
     @pytest.mark.parametrize("rt", [float("inf"), float("nan")])
     def test_rt_must_be_finite(self, rt):

@@ -58,7 +58,7 @@ class TestMajorization:
         expected = np.zeros((2, 2))
         for j in (1, 2):
             for tail in enumerate_index_class(j, A.shape):
-                expected[0, j - 1] += dense_view(A).array[(0,) + tuple(t - 1 for t in tail)]
+                expected[0, j - 1] += dense_view(A)[(0,) + tuple(t - 1 for t in tail)]
         assert_allclose(majorization(A), expected)
         assert majorization(A)[0, 1] == 3.0
 

@@ -233,6 +233,11 @@ class TestIsGenuine:
         with pytest.raises(ValueError, match="indices must be .* integers"):
             is_genuine(tiny_mixed, I)
 
+    @pytest.mark.parametrize("i", [0, -1, 4, 5])
+    def test_out_of_range_index_rejected(self, tiny_mixed, i):
+        with pytest.raises(ValueError, match=rf"^index {i} out of range \[1, 3\]$"):
+            is_genuine(tiny_mixed, [i])
+
     def test_matches_entry_loop(self):
         rng = np.random.default_rng(16)
         for _ in range(40):

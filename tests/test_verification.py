@@ -18,27 +18,28 @@ class TestDenseView:
     def test_agrees_entrywise_with_sparse_source(self):
         rng = np.random.default_rng(61)
         A = random_tensor(rng, 3, 4, nnz=12)
-        view = dense_view(A)
-        assert view.array.shape == (4, 4, 4)
+        arr = dense_view(A)
+        assert isinstance(arr, np.ndarray)
+        assert arr.shape == (4, 4, 4)
         for key, value in A.entries.items():
-            assert view.array[tuple(i - 1 for i in key)] == value
-        assert view.array.sum() == pytest.approx(sum(A.entries.values()))
+            assert arr[tuple(i - 1 for i in key)] == value
+        assert arr.sum() == pytest.approx(sum(A.entries.values()))
 
 
 class TestBruteForceApply:
     def test_zero_tensor(self):
-        view = dense_view(NonnegativeTensor(TensorShape(3, 3)))
-        assert_allclose(brute_force_apply(view, np.ones(3)), np.zeros(3))
+        arr = dense_view(NonnegativeTensor(TensorShape(3, 3)))
+        assert_allclose(brute_force_apply(arr, np.ones(3)), np.zeros(3))
 
     def test_identity_tensor(self):
-        view = dense_view(NonnegativeTensor(TensorShape(3, 4), {(i, i, i): 1.0 for i in range(1, 5)}))
+        arr = dense_view(NonnegativeTensor(TensorShape(3, 4), {(i, i, i): 1.0 for i in range(1, 5)}))
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert_allclose(brute_force_apply(view, x), x**2)
+        assert_allclose(brute_force_apply(arr, x), x**2)
 
     def test_size_limit(self):
-        view = dense_view(NonnegativeTensor(TensorShape(9, 8)))
+        arr = dense_view(NonnegativeTensor(TensorShape(9, 8)))
         with pytest.raises(ValueError, match="limit"):
-            brute_force_apply(view, np.ones(8))
+            brute_force_apply(arr, np.ones(8))
 
 
 class TestEnumerateIndexClass:
