@@ -48,8 +48,9 @@ def _emit_plain(payload, indent: str = "") -> None:
             else:
                 print(f"{indent}{key}: {value}")
     elif isinstance(payload, list):
-        for value in payload:
+        for number, value in enumerate(payload, start=1):
             if isinstance(value, dict):
+                print(f"{indent}[{number}]")
                 _emit_plain(value, indent + "  ")
             elif isinstance(value, list):
                 print(indent + " ".join(str(v) for v in value))

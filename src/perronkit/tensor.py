@@ -50,7 +50,10 @@ class NonnegativeTensor:
     values and drops zeros, so "stored entry" and "nonzero entry" coincide.
     ``entries`` gives the same data back as a read-only map of that form.
     Instances and their arrays are immutable.  A tensor built to be swept
-    many times also keeps a private rank-major copy for :func:`apply`.
+    many times also keeps a private rank-major copy for :func:`apply`, in
+    which the first d tail indices of each entry are fused into one flat
+    index into the product table x^{(x)d}; d is the largest j < m with
+    n^j <= nnz (at least 1), so the table never outgrows the tensor.
     """
 
     shape: TensorShape
@@ -98,18 +101,28 @@ class NonnegativeTensor:
         return len(self.vals)
 
     @cached_property
-    def _rank_major(self) -> tuple[np.ndarray, np.ndarray]:
-        # idx.T and vals with the k-th entry of every row before any row's
-        # (k+1)-th (the jagged-diagonal order): consecutive entries then add to
-        # different rows, so bincount's adds need not wait on each other.  The
+    def _rank_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # (rows, fused, rest, vals) in the jagged-diagonal order: the k-th entry
+        # of every row before any row's (k+1)-th, so consecutive entries add to
+        # different rows and bincount's adds need not wait on each other.  The
         # rank rises along each row, so every row keeps its idx order and sums
-        # the same terms in the same order.
-        counts = np.bincount(self.idx[:, 0], minlength=self.dim)
-        rank = np.arange(self.nnz) - np.repeat(np.cumsum(counts) - counts, counts)
+        # the same terms in the same order.  fused = c2*n^(d-1) + ... + c(d+1)
+        # indexes apply's table by the first d tail columns; rest holds the others.
+        m, n = self.order, self.dim
+        d = 1
+        while d < m - 1 and n ** (d + 1) <= self.nnz:
+            d += 1
+        cols = self.idx.T
+        rank = np.arange(self.nnz) - np.searchsorted(cols[0], np.arange(n)).take(cols[0])
         order = np.argsort(rank, kind="stable")
-        cols, vals = self.idx.T.take(order, axis=1), self.vals.take(order)
-        cols.flags.writeable = vals.flags.writeable = False
-        return cols, vals
+        fused = cols[1]
+        for col in cols[2 : d + 1]:
+            fused = fused * n + col
+        rest = cols[d + 1 :].take(order, axis=1)
+        layout = (cols[0].take(order), fused.take(order), rest, self.vals.take(order))
+        for array in layout:
+            array.flags.writeable = False
+        return layout
 
     @cached_property
     def entries(self) -> Mapping[tuple[int, ...], float]:
@@ -178,7 +191,12 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     i.e. the left-hand side of the tensor eigenvalue equation.  Only stored
     nonzeros contribute.  Each term is ``((x[i2] * x[i3]) * ...) * a`` and each
     row sums its terms in ``idx`` order, whichever order the entries are swept
-    in, so the result is bit-reproducible.
+    in, so the result is bit-reproducible.  A swept tensor reads the leading
+    d factors of each term from the table of all products
+    ``(x[j1] * x[j2]) * ... * x[jd]``, built once per call with the same
+    rounding, and multiplies in the other tail factors and ``a`` as before;
+    at d = 1 the table is x.  The table's overflows stay silent: most of its
+    products are read by no entry.
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.dim
@@ -186,12 +204,19 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"vector has shape {x.shape}, expected ({n},)")
     if A.nnz == 0:
         return np.zeros(n)
-    cols, vals = A._rank_major if A._swept else (A.idx.T, A.vals)
-    p = x[cols[1]]
-    for col in cols[2:]:
+    if A._swept:
+        rows, fused, rest, vals = A._rank_major
+    else:
+        rows, fused, rest, vals = A.idx[:, 0], A.idx[:, 1], A.idx.T[2:], A.vals
+    table = x
+    for _ in range(A.order - 2 - len(rest)):
+        with np.errstate(over="ignore", invalid="ignore"):  # most products go unread
+            table = np.multiply.outer(table, x)
+    p = table.ravel().take(fused)
+    for col in rest:
         p *= x[col]
     p *= vals
-    return np.bincount(cols[0], weights=p, minlength=n)
+    return np.bincount(rows, weights=p, minlength=n)
 
 
 def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTensor:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from perronkit import NonnegativeTensor, TensorShape
@@ -11,6 +12,17 @@ def all_ones_tensor(order: int, dim: int) -> NonnegativeTensor:
         key: 1.0 for key in itertools.product(range(1, dim + 1), repeat=order)
     }
     return NonnegativeTensor(TensorShape(order, dim), entries)
+
+
+def swept(A: NonnegativeTensor) -> NonnegativeTensor:
+    """A with the rank-major copy that apply reads on tensors it sweeps."""
+    return NonnegativeTensor._from_coo(A.shape, A.idx, A.vals, swept=True)
+
+
+def reference_apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
+    """The kernel that gathers all tail columns at once and takes their product."""
+    contrib = A.vals * np.prod(x[A.idx[:, 1:]], axis=1)
+    return np.bincount(A.idx[:, 0], weights=contrib, minlength=A.dim)
 
 
 @pytest.fixture(scope="session")

@@ -177,18 +177,27 @@ class TestCommands:
         assert payload["passed"] is True
 
     def test_verify_plain(self, capsys):
-        # Each check is a dict inside the "checks" list: its keys print one
-        # level deeper than the list, so every check has an indented name line.
+        # Each check is a dict inside the "checks" list: a numbered line marks
+        # where it starts and its keys print one level deeper than the list.
         _, out = run(capsys, "verify")
-        names = [check["name"] for check in json.loads(out)["checks"]]
+        checks = json.loads(out)["checks"]
         code, out = run(capsys, "verify", "--format", "plain")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "passed: True"
-        assert "checks:" in lines
-        assert [line for line in lines if line.lstrip().startswith("name: ")] == [
-            f"    name: {name}" for name in names
-        ]
+        start = lines.index("checks:") + 1
+        items, current = [], None
+        for line in lines[start:]:
+            if line == f"  [{len(items) + 1}]":
+                current = {}
+                items.append(current)
+            else:
+                key, _, value = line.strip().partition(": ")
+                assert line.startswith("    ") and current is not None
+                current[key] = value
+        assert len(items) == len(checks)
+        assert [item.keys() for item in items] == [check.keys() for check in checks]
+        assert [item["name"] for item in items] == [check["name"] for check in checks]
 
     def test_repro_example(self, capsys):
         code, out = run(capsys, "repro-example")

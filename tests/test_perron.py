@@ -3,12 +3,14 @@
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import perronkit.perron as perron
+import perronkit.spectral as spectral
 from perronkit import (
     Classification,
     FixedPointConfig,
@@ -20,6 +22,7 @@ from perronkit import (
     PerronResult,
     TensorShape,
     apply,
+    block_spectra,
     canonical_partition,
     classify,
     positive_perron_vector,
@@ -28,7 +31,7 @@ from perronkit.examples import FOUR_BLOCKS_REFERENCE, four_blocks_tensor
 from perronkit.generator import GeneratorSpec, generate, generate_not_strong
 from perronkit.verification import brute_force_apply, dense_view, matrix_reference
 
-from conftest import all_ones_tensor
+from conftest import all_ones_tensor, reference_apply
 
 
 class TestFixedPointConfig:
@@ -407,6 +410,86 @@ def fixed_point_step(A, P, z, lam):
     """The paper's update on R: ``((A z^{m-1})_R / lam)^{[1/(m-1)]}``, R in block order."""
     r_idx = np.array([i - 1 for block in P.blocks[: P.s] for i in block], dtype=np.intp)
     return (apply(A, z)[r_idx] / lam) ** (1 / (A.order - 1))
+
+
+def single_one_tails_tensor():
+    # R = {1}, G = {2, 3, 4} all ones (lam 27).  No tail of row 1 holds index
+    # 1 twice, so a start z1 far beyond 1e154 still contracts to a finite y1.
+    # Row 1's 54 entries fuse two tail indices (4^2 <= 54 < 4^3).
+    entries = dict.fromkeys(itertools.product(range(2, 5), repeat=4), 1.0)
+    for tail in itertools.product(range(1, 5), repeat=3):
+        if tail.count(1) <= 1:
+            entries[(1, *tail)] = 1.0 + tail[2] / 8
+    return NonnegativeTensor(TensorShape(4, 4), entries)
+
+
+def kernel_identity_cases():
+    tiny = {"gen-large": (4, 4, 4, 10), "block-chain": (2,) * 4 + (10,), "small-mixed": (5, 10)}
+    for name, sizes in tiny.items():
+        for seed in (1, 2):
+            A = generate(GeneratorSpec(sizes, rt=1.3, den=0.1, seed=seed))
+            yield pytest.param(A, 1e-3, id=f"{name}-{seed}")
+    for seed in (100, 101):  # both constructions of the rejected instances
+        A = generate_not_strong(GeneratorSpec(tiny["small-mixed"], rt=1.3, den=0.1, seed=seed))
+        yield pytest.param(A, 1e-3, id=f"small-mixed-rejected-{seed}")
+    yield pytest.param(chain_tensor(3), 1e-3, id="chain-3")
+    # Starts near and past float64's range: the same bits, or the same error.
+    # Only the first, one-shot apply sees such a start; every later z_R is a
+    # root of a finite float, so the swept table's products stay finite.
+    for gamma in (1e-3, 1e100, 1e150, 1e155, 1e160):
+        yield pytest.param(four_blocks_tensor(), gamma, id=f"four-blocks-{gamma:g}")
+    yield pytest.param(NonnegativeTensor(TensorShape(3, 3), UPDATE_OVERFLOW), 1e-3, id="update-overflow")
+    for gamma in (1e155, 1e160, 1e300):
+        yield pytest.param(single_one_tails_tensor(), gamma, id=f"single-one-tails-{gamma:g}")
+
+
+def outcome_bytes(run):
+    """Pickled bytes of what run() returns, or of the error it raises."""
+    try:
+        return pickle.dumps(run())
+    except (ValueError, NotStronglyNonnegative, NotConverged) as exc:
+        return pickle.dumps((type(exc), str(exc), vars(exc)))
+
+
+def solve_outcomes(A, gamma):
+    cfg = FixedPointConfig(gamma=gamma)
+    return (
+        outcome_bytes(lambda: positive_perron_vector(A, cfg)),
+        outcome_bytes(lambda: block_spectra(A)),
+    )
+
+
+class TestKernelBitIdentity:
+    """Both loops give the bits of the kernel that gathers every tail column."""
+
+    @pytest.mark.parametrize("A, gamma", kernel_identity_cases())
+    def test_solve_matches_reference_kernel(self, A, gamma, monkeypatch):
+        shipped = solve_outcomes(A, gamma)
+        monkeypatch.setattr(perron, "apply", reference_apply)
+        monkeypatch.setattr(spectral, "apply", reference_apply)
+        assert solve_outcomes(A, gamma) == shipped
+
+    def test_cases_sweep_fused_tables(self, monkeypatch):
+        depths = set()
+
+        def recorded(B, x, _original=perron.apply):
+            if B._swept:
+                depths.add((B.order, B.order - 1 - len(B._rank_major[2])))
+            return _original(B, x)
+
+        monkeypatch.setattr(perron, "apply", recorded)
+        monkeypatch.setattr(spectral, "apply", recorded)
+        for case in kernel_identity_cases():
+            solve_outcomes(*case.values)
+        assert {(3, 1), (3, 2), (4, 2)} <= depths
+
+    def test_huge_start_reaches_the_fixed_point(self):
+        A = single_one_tails_tensor()
+        want = positive_perron_vector(A).z
+        for gamma in (1e155, 1e160, 1e300):
+            res = positive_perron_vector(A, FixedPointConfig(gamma=gamma))
+            assert_allclose(res.z, want, rtol=1e-7)
+            assert_oracle_accepts(A, res)
 
 
 class TestFixedPointStep:

@@ -1,6 +1,8 @@
 """Tensor construction, contraction, restriction, permutation and file I/O."""
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from perronkit.selfcheck import random_tensor
 from perronkit.tensor import _scan_tensor
 from perronkit.verification import brute_force_apply, dense_view
 
-from conftest import all_ones_tensor
+from conftest import all_ones_tensor, reference_apply, swept
 
 
 class TestConstruction:
@@ -89,23 +91,32 @@ class TestConstruction:
         for name in ("shape", "idx", "vals"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(A, name, getattr(A, name))
-        S = swept(A)
-        apply(S, np.ones(2))
-        cols, vals = S._rank_major
-        for array in (cols, cols[0], cols[1], vals):
-            with pytest.raises(ValueError):
-                array[0] = 0
+        # the rank-major copy of a tensor swept at fused depth 2, with no
+        # remaining tail column (order 3) and with one (order 4)
+        B = NonnegativeTensor(
+            TensorShape(4, 2),
+            {(1, 1, 2, 2): 1.0, (1, 2, 1, 2): 2.0, (2, 1, 1, 2): 3.0, (2, 1, 2, 1): 4.0, (2, 2, 2, 2): 5.0},
+        )
+        for T, remaining in ((A, 0), (B, 1)):
+            S = swept(T)
+            apply(S, np.ones(2))
+            rows, fused, rest, vals = S._rank_major
+            assert rest.shape == (remaining, T.nnz)
+            for array in (rows, fused, rest, *rest, vals):
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
 
-def swept(A):
-    """A with the rank-major copy that apply reads on tensors it sweeps."""
-    return NonnegativeTensor._from_coo(A.shape, A.idx, A.vals, swept=True)
+def fused_depth(S):
+    """The number of leading tail indices the rank-major copy of S fuses."""
+    return S.order - 1 - len(S._rank_major[2])
 
 
-def reference_apply(A, x):
-    """The kernel that gathers all tail columns at once and takes their product."""
-    contrib = A.vals * np.prod(x[A.idx[:, 1:]], axis=1)
-    return np.bincount(A.idx[:, 0], weights=contrib, minlength=A.dim)
+def decoded(S):
+    """The rank-major copy of S as full index rows and values, fused index decoded."""
+    rows, fused, rest, vals = S._rank_major
+    cols = (rows, *np.unravel_index(fused, (S.dim,) * fused_depth(S)), *rest)
+    return np.column_stack(cols), vals
 
 
 def kernel_corpus():
@@ -122,6 +133,12 @@ def kernel_corpus():
         entries = {(1, *t): float(rng.random()) + 0.1 for t in tails.tolist()}
         entries.update({(3,) * m: 0.3, (4, *(6,) * (m - 1)): 0.2, (6,) * m: 0.9})
         yield NonnegativeTensor(TensorShape(m, 6), entries)
+        # fused depths 1 (sparse), 2 (9 <= nnz < 27) and m - 1 (dense)
+        yield random_tensor(rng, m, 40, nnz=60)
+        yield random_tensor(rng, m, 3, nnz=20)
+        n = {3: 8, 4: 5, 5: 4}.get(m, 3)
+        keys = itertools.product(range(1, n + 1), repeat=m)
+        yield NonnegativeTensor(TensorShape(m, n), {k: float(rng.random()) + 0.1 for k in keys})
     yield generate(GeneratorSpec((8, 9, 10, 10), 1.3, 0.1, 3))
 
 
@@ -136,15 +153,59 @@ class TestApply:
             for got in (apply(A, x), apply(swept(A), x)):
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
+    def test_fused_depth_is_the_largest_whose_table_fits_in_nnz(self):
+        depths = set()
+        for A in kernel_corpus():
+            d, n = fused_depth(swept(A)), A.dim
+            assert 1 <= d <= A.order - 1
+            assert d == 1 or n**d <= A.nnz
+            assert d == A.order - 1 or n ** (d + 1) > A.nnz
+            depths.add((A.order, d))
+        for m in (3, 4, 5):  # the kernel test above reaches every depth it needs
+            assert {(m, 1), (m, 2), (m, m - 1)} <= depths
+
+    def test_sparse_tensor_keeps_depth_one_and_allocates_no_square_table(self):
+        n = 20_000
+        keys = [(1, 2, 3), (5, 20_000, 7), (9, 9, 9), (20_000, 1, 1), (3, 3, 14_000)]
+        S = swept(NonnegativeTensor(TensorShape(3, n), dict.fromkeys(keys, 0.5)))
+        assert fused_depth(S) == 1  # checked first: an n^2 table would be 3.2 GB
+        x = np.full(n, 0.5)
+        tracemalloc.start()
+        try:
+            y = apply(S, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.nbytes
+        assert y.tobytes() == reference_apply(S, x).tobytes()
+
     def test_rank_major_copy_keeps_each_row_in_order(self):
-        A = generate(GeneratorSpec((8, 9, 10, 10), 1.3, 0.1, 3))
-        cols, vals = swept(A)._rank_major
-        by_row = np.argsort(cols[0], kind="stable")
-        assert np.array_equal(cols.T[by_row], A.idx)
-        assert np.array_equal(vals[by_row], A.vals)
-        rank = np.empty(A.nnz, dtype=np.intp)  # position of each entry within its row
-        rank[by_row] = np.arange(A.nnz) - np.searchsorted(A.idx[:, 0], A.idx[:, 0])
-        assert np.all(np.diff(rank) >= 0)
+        for A in kernel_corpus():
+            if not A.nnz:
+                continue
+            idx, vals = decoded(swept(A))
+            by_row = np.argsort(idx[:, 0], kind="stable")
+            assert np.array_equal(idx[by_row], A.idx)
+            assert np.array_equal(vals[by_row], A.vals)
+            rank = np.empty(A.nnz, dtype=np.intp)  # position of each entry within its row
+            rank[by_row] = np.arange(A.nnz) - np.searchsorted(A.idx[:, 0], A.idx[:, 0])
+            assert np.all(np.diff(rank) >= 0)
+
+    def test_table_overflow_that_no_entry_reads_changes_nothing(self):
+        # No tail holds index 1 twice, so only table products that no entry
+        # reads overflow: x1 * x1 (* xk) once x1 passes about 1.3e154.
+        keys = [k for k in itertools.product(range(1, 5), repeat=4) if k[1:].count(1) <= 1]
+        A3 = NonnegativeTensor(TensorShape(4, 4), {k: 1.0 + k[3] / 8 for k in keys})
+        A2 = NonnegativeTensor(TensorShape(4, 4), {k: v for k, v in A3.entries.items() if k[0] == 1})
+        for A, depth in ((A2, 2), (A3, 3)):
+            S = swept(A)
+            assert fused_depth(S) == depth
+            for big in (1e100, 1e155, 1e160, 1e200, 1e306):
+                x = np.array([big, 0.25, 0.5, 2.0])
+                want = reference_apply(A, x)
+                assert np.all(np.isfinite(want))
+                for got in (apply(A, x), apply(S, x)):
+                    assert got.tobytes() == want.tobytes()
 
     def test_one_shot_callers_build_no_rank_major_copy(self):
         # Building the copy costs several applies, so only loops that sweep
