@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import PowerMethodConfig, _power_iteration
-from .tensor import NonnegativeTensor, TensorShape, _checked_coo
+from .tensor import NonnegativeTensor, TensorShape, _check_integer, _checked_coo
 
 __all__ = ["GeneratorSpec", "generate", "generate_not_strong"]
 
@@ -19,7 +19,8 @@ class GeneratorSpec:
     ``block_sizes`` lists the diagonal block dimensions in order; the last
     block is the unique genuine one.  ``rt`` (> 1, finite) is the ratio by which the
     genuine block's radius exceeds the largest raw block radius, ``den`` the
-    Bernoulli inclusion probability for admissible off-block couplings.
+    Bernoulli inclusion probability for admissible off-block couplings, and
+    ``seed`` (a nonnegative integer) seeds every random draw.
     """
 
     block_sizes: tuple[int, ...]
@@ -37,6 +38,7 @@ class GeneratorSpec:
             raise ValueError("rt must be finite and > 1")
         if not 0 < self.den <= 1:
             raise ValueError("den must lie in (0, 1]")
+        _check_integer("seed", self.seed, 0)
 
 
 def _block_ranges(sizes: tuple[int, ...]) -> list[range]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .partition import CanonicalPartition
 from .spectral import BlockSpectrum, NotConverged, PowerMethodConfig, block_spectra
-from .tensor import NonnegativeTensor, apply
+from .tensor import NonnegativeTensor, _check_integer, apply
 
 __all__ = [
     "FixedPointConfig",
@@ -46,8 +46,7 @@ class FixedPointConfig:
             raise ValueError("gamma, tolerance and rho_equality_tol must be finite and positive")
         if not self.rho_equality_tol < 1:
             raise ValueError("rho_equality_tol must be below 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_integer("max_iterations", self.max_iterations, 1)
 
 
 class Outcome(enum.Enum):

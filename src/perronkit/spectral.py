@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import CanonicalPartition, canonical_partition
-from .tensor import NonnegativeTensor, apply
+from .tensor import NonnegativeTensor, _check_integer, apply
 from .tensor import principal_subtensor  # noqa: F401  (the benchmark's tracer wraps this name)
 
 __all__ = [
@@ -44,8 +44,7 @@ class PowerMethodConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be finite and positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_integer("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(frozen=True, eq=False)

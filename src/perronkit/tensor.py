@@ -80,7 +80,9 @@ class NonnegativeTensor:
         return A
 
     def _set(self, shape: TensorShape, idx, vals, swept: bool = False) -> None:
-        idx = np.asfortranarray(idx)  # contiguous columns make apply's gathers fast
+        # Contiguous columns speed up the partition's column reads and the
+        # rank-major build more than the copy costs.
+        idx = np.asfortranarray(idx)
         idx.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "shape", shape)
@@ -147,6 +149,14 @@ def _int_indices(values: Iterable) -> np.ndarray:
     if a.size and (a.dtype.kind not in "iu" or a.max() > np.iinfo(np.intp).max):
         raise ValueError(f"indices must be {np.dtype(np.intp)} integers, got {a.dtype}")
     return a.astype(np.intp)
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    # An integer setting is a Python or numpy integer, not a bool, and >= low.
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def _index_set(I: Iterable, n: int) -> np.ndarray:
@@ -279,6 +289,7 @@ def read_tensor(path) -> NonnegativeTensor:
     Indices are 1-based integer literals; values are finite nonnegative
     decimal literals.  Blank lines are skipped.  Duplicate index tuples are
     an error, even when a value is zero.  Errors name the offending line.
+    Lines are those of ``str.splitlines`` and tokens those of ``str.split``.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read()
@@ -291,59 +302,57 @@ def read_tensor(path) -> NonnegativeTensor:
     return _scan_tensor(raw)
 
 
-# Characters at which str.splitlines breaks a line but np.loadtxt does not.
-_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+def _header(lines: list[str]) -> tuple[TensorShape, int]:
+    # The shape on the first line that is neither blank nor a comment, and
+    # that line's number.
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise ValueError(f"line {lineno}: header must be 'm n', got {line.strip()!r}")
+        try:
+            return TensorShape(int(tokens[0]), int(tokens[1])), lineno
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    raise ValueError("empty tensor file: missing 'm n' header")
 
 
 def _parse_tensor(raw: str) -> NonnegativeTensor:
-    # One np.loadtxt call and array checks; raises ValueError on any input
-    # that is malformed or that the two parsers might read differently.
-    if any(c in raw for c in _LINE_BREAKS):
-        raise ValueError("unusual line break")
-    start = 0
-    while True:
-        end = raw.find("\n", start)
-        end = len(raw) if end < 0 else end
-        tokens = raw[start:end].split()
-        if tokens and not tokens[0].startswith("#"):
-            break
-        if end == len(raw):
-            raise ValueError("missing header")
-        start = end + 1
-    m, n = map(int, tokens)
-    shape = TensorShape(m, n)
-    body = raw[end + 1 :]
-    if "#" in body:
-        body = "\n".join(line for line in body.split("\n") if not line.lstrip().startswith("#"))
-    if not body.strip():
-        return NonnegativeTensor(shape)
-    if m > len(body):  # no line can hold m indices; loadtxt would allocate m-wide rows
+    # One np.loadtxt call on the scan's lines, and array checks; raises
+    # ValueError on any input that is malformed or that numpy does not
+    # parse as the scan would.
+    lines = raw.splitlines()
+    shape, start = _header(lines)
+    m = shape.order
+    # Skip loadtxt, which allocates m-wide rows, when no line after the
+    # header can hold m indices.
+    if m > len(raw) - sum(len(line) + 1 for line in lines[:start]):
         raise ValueError("too few characters for one entry")
+    del lines[:start]
+    if "#" in raw:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    if not any(map(str.split, lines)):
+        return NonnegativeTensor(shape)
     dtype = [("i", np.intp, (m,)), ("v", np.float64)]
-    rows = np.loadtxt(body.split("\n"), dtype=dtype, comments=None, ndmin=1)
-    return NonnegativeTensor._from_coo(shape, *_checked_coo(n, rows["i"], rows["v"]))
+    rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    del lines
+    return NonnegativeTensor._from_coo(shape, *_checked_coo(shape.dim, rows["i"], rows["v"]))
 
 
 def _scan_tensor(raw: str) -> NonnegativeTensor:
     # The reference reader: one line at a time, so every error names its line.
-    shape = None
+    lines = raw.splitlines()
+    shape, start = _header(lines)
+    del lines[:start]
     entries: dict[tuple[int, ...], float] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if shape is None:
-            if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: header must be 'm n', got {stripped!r}")
-            try:
-                shape = TensorShape(int(tokens[0]), int(tokens[1]))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+    for lineno, line in enumerate(lines, start=start + 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
         if len(tokens) != shape.order + 1:
             raise ValueError(
-                f"line {lineno}: expected {shape.order} indices and a value, got {stripped!r}"
+                f"line {lineno}: expected {shape.order} indices and a value, got {line.strip()!r}"
             )
         try:
             key = tuple(int(t) for t in tokens[:-1])
@@ -358,6 +367,4 @@ def _scan_tensor(raw: str) -> NonnegativeTensor:
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate index tuple {key}")
         entries[key] = value
-    if shape is None:
-        raise ValueError("empty tensor file: missing 'm n' header")
     return NonnegativeTensor(shape, entries)

@@ -106,6 +106,17 @@ class TestGenerate:
         assert spec.block_sizes == (2, 3)
         assert all(type(b) is int for b in spec.block_sizes)
 
+    @pytest.mark.parametrize("seed", [2.5, "3", None, True, -1], ids=repr)
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # None would draw fresh entropy, and the output would not be a
+        # function of the spec.
+        with pytest.raises(ValueError, match="seed must be"):
+            GeneratorSpec(block_sizes=(2, 3), rt=2.0, den=0.5, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = GeneratorSpec(block_sizes=(2, 3), rt=2.0, den=0.5, seed=np.uint8(3))
+        assert generate(spec) == generate(GeneratorSpec((2, 3), 2.0, 0.5, 3))
+
     @pytest.mark.parametrize("rt", [float("inf"), float("nan")])
     def test_rt_must_be_finite(self, rt):
         with pytest.raises(ValueError, match="rt must be finite"):

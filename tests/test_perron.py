@@ -42,7 +42,7 @@ class TestFixedPointConfig:
             for field in ("gamma", "tolerance", "rho_equality_tol")
             for v in (0.0, -1.0, np.nan, np.inf)
         ]
-        + [{"max_iterations": 0}]
+        + [{"max_iterations": v} for v in (0, 2.5, np.inf, "5", True)]
         # At 1 or above no radius lies below lam * (1 - tol): every
         # non-genuine block, even one of radius 0, would be too large.
         + [{"rho_equality_tol": v} for v in (1.0, 2.0)],

@@ -333,7 +333,8 @@ class TestPowerMethodConfig:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"tolerance": v} for v in (0.0, -1.0, np.nan, np.inf)] + [{"max_iterations": 0}],
+        [{"tolerance": v} for v in (0.0, -1.0, np.nan, np.inf)]
+        + [{"max_iterations": v} for v in (0, 2.5, np.inf, "5", True)],
         ids=repr,
     )
     def test_rejects_bad_setting(self, setting):

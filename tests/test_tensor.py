@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -496,12 +497,29 @@ READER_CORPUS = {
     "huge dimension": "3 99999999999999999999\n1 1 1 1\n",
     "order one": "1 5\n1 1\n",
     "order far above the line length": "1000000 3\n1 1 1 1\n",
+    # Both parsers break lines where str.splitlines does, not only at "\n".
+    **{
+        f"{name} {where}": text.format(c)
+        for name, c in {
+            "vertical tab": "\x0b",
+            "form feed": "\x0c",
+            "file separator": "\x1c",
+            "group separator": "\x1d",
+            "record separator": "\x1e",
+        }.items()
+        for where, text in {
+            "inside an entry line": "3 2\n1 1{0}1 0.5\n",
+            "between lines": "3 2{0}1 1 1 0.5{0}2 2 2 1{0}",
+        }.items()
+    },
+    # str.split takes the unit separator for a blank, but it breaks no line.
+    "unit separator inside an entry line": "3 2\n1\x1f1 1\x1f0.5\n",
+    "unit separator between lines": "3 2\x1f1 1 1 0.5\n",
 }
 
 
-@pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
-def test_reader_matches_line_scan(tmp_path, text):
-    path = tmp_path / "t.tns"
+def read_outcomes(path, text: str) -> list:
+    # What read_tensor and the line scan make of the text: tensors or errors.
     path.write_bytes(text.encode("ascii"))
     outcomes = []
     for read in (read_tensor, lambda p: _scan_tensor(p.read_text(encoding="ascii"))):
@@ -509,4 +527,113 @@ def test_reader_matches_line_scan(tmp_path, text):
             outcomes.append(read(path))
         except ValueError as exc:
             outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+def test_reader_matches_line_scan(tmp_path, text):
+    outcomes = read_outcomes(tmp_path / "t.tns", text)
     assert outcomes[0] == outcomes[1]
+
+
+SEPARATORS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+LINE_ENDS = "\n\x0b\x0c\x1c\x1d\x1e"
+
+
+def random_reader_text(rng: random.Random) -> str:
+    """Comment, blank, header and entry lines, mostly good, with random blanks."""
+    m, n = rng.randint(2, 3), rng.randint(1, 3)
+
+    def line(tokens) -> str:
+        seps = [rng.choice(SEPARATORS) if rng.random() < 0.05 else " " for _ in tokens]
+        text = "".join(sep + token for sep, token in zip(seps, tokens))
+        return text[1:] if rng.random() < 0.7 else text
+
+    def token(good: str, bad: list[str]) -> str:
+        return rng.choice(bad) if rng.random() < 0.02 else good
+
+    def filler() -> list[str]:
+        # Blank lines, and comments whose first non-blank character is '#'.
+        kinds = [lambda: line(["#", "a", "#b"]), lambda: "".join(rng.sample(SEPARATORS, 2)), str]
+        return [rng.choice(kinds)() for _ in range(rng.choice([0, 0, 1, 2]))]
+
+    lines = filler()
+    if rng.random() < 0.95:
+        lines.append(line([token(str(m), ["1", "2.0", "x"]), token(str(n), ["0", "+1", "3 1"])]))
+    keys = rng.sample(list(itertools.product(range(1, n + 1), repeat=m)), rng.randint(0, n**m))
+    if keys and rng.random() < 0.05:
+        keys.append(rng.choice(keys))
+    for key in keys:
+        lines += filler()
+        indices = [token(str(i), ["0", str(n + 1), "1.0", "+1", "1_0", "-1", "x"]) for i in key]
+        value = rng.choice(["0.5", "1", "0", "2.5e-3", "-0.0", "7"])
+        lines.append(line(indices + [token(value, ["-1", "nan", "inf", "1e400", "1_0", "0x1"])]))
+    ends = [rng.choice(LINE_ENDS) if rng.random() < 0.1 else "\n" for _ in lines]
+    text = "".join(text + end for text, end in zip(lines, ends))
+    return text[:-1] if rng.random() < 0.2 else text
+
+
+def test_reader_matches_line_scan_on_random_texts(tmp_path, monkeypatch):
+    fallbacks = []
+
+    def scan(raw):
+        fallbacks.append(raw)
+        return _scan_tensor(raw)
+
+    monkeypatch.setattr(tensor_module, "_scan_tensor", scan)
+    rng = random.Random(25)
+    read = 0
+    for _ in range(300):
+        text = random_reader_text(rng)
+        outcomes = read_outcomes(tmp_path / "t.tns", text)
+        assert outcomes[0] == outcomes[1], repr(text)
+        read += isinstance(outcomes[0], NonnegativeTensor)
+    # The texts reach both parsers and both outcomes.
+    assert 50 < len(fallbacks) < 250 and 50 < read < 250
+
+
+class TestReaderMemory:
+    """Peak memory of read_tensor under tracemalloc, text included."""
+
+    @pytest.fixture(scope="class")
+    def gen_large_text(self, tmp_path_factory) -> str:
+        path = tmp_path_factory.mktemp("read") / "gen.tns"
+        write_tensor(generate(GeneratorSpec((30, 30, 30, 30), 1.3, 0.1, 1)), path)
+        return path.read_text()
+
+    @staticmethod
+    def read_peak(path) -> tuple[int, str]:
+        # The peak, and the error message or "" when the read succeeds.
+        tracemalloc.start()
+        try:
+            read_tensor(path)
+            error = ""
+        except ValueError as exc:
+            error = str(exc)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return peak, error
+
+    def test_generated_file(self, tmp_path, gen_large_text):
+        # 21.4 MB; 25.5 MB when the fast path copied the body text twice.
+        path = tmp_path / "gen.tns"
+        path.write_text(gen_large_text)
+        peak, error = self.read_peak(path)
+        assert not error and peak < 23e6
+
+    def test_bad_last_line(self, tmp_path, gen_large_text):
+        # The scan's own peak: the fast path's lines and arrays are gone
+        # before it starts.
+        path = tmp_path / "bad.tns"
+        path.write_text(gen_large_text + "1 1 1 x\n")
+        peak, error = self.read_peak(path)
+        assert error.startswith("line 145833: ") and peak <= 34.7e6
+
+    def test_long_comment_above_a_large_order(self, tmp_path):
+        # No line after the header holds 10^6 indices: loadtxt, which would
+        # allocate 10^6-wide rows, must not run.
+        path = tmp_path / "wide.tns"
+        path.write_text("#" + "c" * 2_000_000 + "\n1000000 3\n" + "1 1 1 1\n" * 10_000)
+        peak, error = self.read_peak(path)
+        assert error.startswith("line 3: ") and peak < 10e6

@@ -1,10 +1,14 @@
 """The brute-force reference implementations themselves."""
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from perronkit import NonnegativeTensor, TensorShape
+from perronkit import NonnegativeTensor, TensorShape, apply, classify, majorization, selfcheck
+from perronkit.cli import main
 from perronkit.selfcheck import random_tensor, run_selfcheck
 from perronkit.verification import (
     brute_force_apply,
@@ -41,6 +45,11 @@ class TestBruteForceApply:
         with pytest.raises(ValueError, match="limit"):
             brute_force_apply(arr, np.ones(8))
 
+    def test_vector_shape(self):
+        arr = dense_view(NonnegativeTensor(TensorShape(3, 3)))
+        with pytest.raises(ValueError, match=r"vector has shape \(4,\), expected \(3,\)"):
+            brute_force_apply(arr, np.ones(4))
+
 
 class TestEnumerateIndexClass:
     def test_matrix_case_is_singleton(self):
@@ -64,6 +73,10 @@ class TestEnumerateIndexClass:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             enumerate_index_class(3, TensorShape(3, 2))
+
+    def test_size_limit(self):
+        with pytest.raises(ValueError, match=r"enumeration size 8\^8 exceeds limit"):
+            enumerate_index_class(1, TensorShape(9, 8))
 
 
 class TestMatrixReference:
@@ -96,7 +109,42 @@ class TestMatrixReference:
         with pytest.raises(ValueError):
             matrix_reference(np.zeros((51, 51)))
 
+    def test_non_square(self):
+        with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+            matrix_reference(np.ones((2, 3)))
+
 
 def test_selfcheck_passes():
     report = run_selfcheck()
     assert report["passed"], report
+
+
+def _wrong_partition(A):
+    # One block holding every index, whatever the tensor.
+    return SimpleNamespace(blocks=(tuple(range(1, A.dim + 1)),))
+
+
+def _wrong_verdict(A):
+    cls = classify(A)
+    return SimpleNamespace(
+        is_strong=not cls.is_strong, partition=cls.partition, block_spectra=cls.block_spectra
+    )
+
+
+@pytest.mark.parametrize(
+    "name, perturbed, failing",
+    [
+        ("apply", lambda A, x: apply(A, x) * (1 + 1e-9), 0),
+        ("majorization", lambda A: majorization(A) + 1, 1),
+        ("canonical_partition", _wrong_partition, 2),
+        ("classify", _wrong_verdict, 2),
+    ],
+    ids=["apply", "majorization", "canonical_partition", "classify"],
+)
+def test_selfcheck_reports_a_failing_check(monkeypatch, capsys, name, perturbed, failing):
+    monkeypatch.setattr(selfcheck, name, perturbed)
+    report = run_selfcheck()
+    assert [c["passed"] for c in report["checks"]] == [i != failing for i in range(3)]
+    assert report["passed"] is False
+    assert main(["verify"]) == 1
+    assert json.loads(capsys.readouterr().out) == report
