@@ -29,10 +29,11 @@ class TensorShape:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.order < 2:
-            raise ValueError(f"tensor order must be >= 2, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {self.dim}")
+        _check_integer("tensor order", self.order, 2)
+        _check_integer("tensor dimension", self.dim, 1)
+        # Plain ints: in a numpy integer such as uint8, n * n would wrap around.
+        object.__setattr__(self, "order", int(self.order))
+        object.__setattr__(self, "dim", int(self.dim))
         limit = np.iinfo(np.intp).max  # indices and array shapes are intp
         if max(self.order, self.dim) > limit:
             raise ValueError(
@@ -156,7 +157,7 @@ def _check_integer(name: str, value, low: int) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _index_set(I: Iterable, n: int) -> np.ndarray:

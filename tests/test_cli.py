@@ -396,23 +396,35 @@ def test_module_entry_point(fixture_file):
     assert json.loads(proc.stdout)["rho"] == pytest.approx(3.1253, abs=1e-3)
 
 
-def test_solve_and_perron_leave_numpy_ma_unimported(fixture_file):
-    # np.unique imports numpy.ma on its first call, about 9 ms of process
-    # start and several MB of resident memory; the solve path avoids it.
+def loaded_after_solve_and_perron(fixture_file, modules) -> list[str]:
+    """Which of modules a fresh process holds after one solve and one ``perron`` command."""
     script = (
         "import contextlib, io, sys\n"
-        "from perronkit import positive_perron_vector, read_tensor\n"
+        "import perronkit\n"
         "from perronkit.cli import main\n"
-        f"positive_perron_vector(read_tensor({fixture_file!r}))\n"
+        f"perronkit.positive_perron_vector(perronkit.read_tensor({fixture_file!r}))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['perron', {fixture_file!r}]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"print(*[name for name in {modules!r} if name in sys.modules])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout.split()
+
+
+def test_solve_and_perron_leave_numpy_ma_unimported(fixture_file):
+    # np.unique imports numpy.ma on its first call, about 9 ms of process
+    # start and several MB of resident memory; the solve path avoids it.
+    assert loaded_after_solve_and_perron(fixture_file, ("numpy.ma",)) == []
+
+
+def test_solve_and_perron_import_neither_scipy_nor_the_oracles(fixture_file):
+    # Tests use scipy and the dense oracles as references; the runtime stays
+    # numpy-only and never loads them.
+    modules = ("scipy", "perronkit.verification", "perronkit.selfcheck")
+    assert loaded_after_solve_and_perron(fixture_file, modules) == []
 
 
 class TestParser:

@@ -1,9 +1,12 @@
 """Canonical partition, genuineness and the partition auditor."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import perronkit.partition as partition
 from perronkit import (
@@ -48,6 +51,63 @@ def reference_partition(A: NonnegativeTensor) -> CanonicalPartition:
     nongenuine = [b for b, g in zip(raw, flags) if not g]
     genuine = [b for b, g in zip(raw, flags) if g]
     return CanonicalPartition(tuple(nongenuine + genuine), len(nongenuine))
+
+
+def reference_verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
+    """The audit that condensed a dense majorization of each block's sub-tensor."""
+    n = A.dim
+    seen = [i for block in P.blocks for i in block]
+    if sorted(seen) != list(range(1, n + 1)):
+        raise ValueError("blocks do not partition [1, n]")
+    block_of = np.empty(n, dtype=np.intp)
+    for j, block in enumerate(P.blocks):
+        block_of[np.array(block) - 1] = j
+
+    for block in P.blocks:
+        if len(scc_condensation(majorization(principal_subtensor(A, block)))) > 1:
+            return False
+
+    row_block = block_of[A.idx[:, 0]]
+    tail_blocks = block_of[A.idx[:, 1:]]
+    latest, earliest = tail_blocks.max(axis=1), tail_blocks.min(axis=1)
+    if np.any((latest <= row_block) & (earliest < row_block)):
+        return False
+    escapes_later = np.zeros(len(P.blocks), dtype=bool)
+    escapes_later[row_block[latest > row_block]] = True
+    return P.genuine == tuple((~escapes_later).tolist())
+
+
+def strongly_connected_blocks(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
+    """scipy's verdict that the entries inside each block connect it strongly."""
+    block_of = np.empty(A.dim, dtype=np.intp)
+    for j, block in enumerate(P.blocks):
+        block_of[np.array(block) - 1] = j
+    idx = A.idx[(block_of[A.idx] == block_of[A.idx[:, :1]]).all(axis=1)]
+    rows, cols = np.repeat(idx[:, 0], A.order - 1), idx[:, 1:].ravel()
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(A.dim, A.dim))
+    labels = connected_components(graph, directed=True, connection="strong")[1]
+    return all(len(set(labels[np.array(block) - 1].tolist())) == 1 for block in P.blocks)
+
+
+def audit_corpus(rng: np.random.Generator, tensors: int):
+    """Canonical partitions and tampered ones of random tensors, orders 2-5, n 1-8.
+
+    For each tensor: its canonical partition, the same blocks with s - 1, two
+    adjacent blocks merged at every s, and all singletons at every s.
+    """
+    for _ in range(tensors):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+        A = random_tensor(rng, m, n, nnz=int(rng.integers(0, 3 * n) + 1))
+        P = canonical_partition(A)
+        yield A, P
+        if P.s:
+            yield A, CanonicalPartition(P.blocks, P.s - 1)
+        for j in range(P.r - 1):
+            merged = P.blocks[:j] + (tuple(sorted(P.blocks[j] + P.blocks[j + 1])),) + P.blocks[j + 2 :]
+            for s in range(P.r - 1):
+                yield A, CanonicalPartition(merged, s)
+        for s in range(n):
+            yield A, CanonicalPartition(tuple((i,) for i in range(1, n + 1)), s)
 
 
 def refinement_levels(A: NonnegativeTensor) -> int:
@@ -304,6 +364,61 @@ class TestVerifyPartition:
             assert not verify_partition(B, CanonicalPartition(P.blocks, P.s - 1))
         assert not verify_partition(tiny_mixed, CanonicalPartition(((1,), (2,), (3,)), s=1))
         assert calls == []
+
+    def test_matches_dense_reference_and_scipy(self):
+        # scipy's strong components share no code with the library's Tarjan.
+        verdicts, reducible = {True: 0, False: 0}, 0
+        for A, P in audit_corpus(np.random.default_rng(35), 200):
+            verdict = verify_partition(A, P)
+            assert verdict == reference_verify_partition(A, P), (A.entries, P)
+            connected = strongly_connected_blocks(A, P)
+            assert connected or not verdict, (A.entries, P)
+            verdicts[verdict] += 1
+            reducible += not connected
+        # The corpus reaches condition (a), not only the order and flag checks.
+        assert verdicts[True] >= 200 and verdicts[False] >= 1000 and reducible >= 500, (
+            verdicts,
+            reducible,
+        )
+
+    def test_builds_no_dense_sub_tensor(self, monkeypatch, tiny_mixed, four_blocks):
+        def refuse(*args):
+            raise AssertionError("verify_partition called a dense or sub-tensor helper")
+
+        for name in ("majorization", "scc_condensation", "principal_subtensor"):
+            monkeypatch.setattr(partition, name, refuse)
+        for A in (tiny_mixed, four_blocks, tight_cycle(50)):
+            assert verify_partition(A, canonical_partition(A))
+
+    def test_peak_memory_on_tight_cycle(self):
+        # One block of n = 3000 (nnz 18 000): a dense n-by-n audit peaks near
+        # 81 MB (numpy 2.4, Python 3.11); the edge list needs a few MB.
+        A = tight_cycle(3000)
+        P = canonical_partition(A)
+        tracemalloc.start()
+        try:
+            verdict = verify_partition(A, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict
+        assert peak < 8e6, f"verify_partition peaked at {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (((1.0, 2.0), (3,)), "block index must be an integer, got 1.0"),
+            (((True,), (2,), (3,)), "block index must be an integer, got True"),
+            (((2, 1), (3,)), r"index set \(2, 1\) must be strictly increasing"),
+            (((), (1, 2, 3)), r"blocks do not partition \[1, n\]"),
+            (((0, 1), (2, 3)), "block index must be >= 1, got 0"),
+            ((("1",), (2, 3)), "block index must be an integer, got '1'"),
+        ],
+        ids=["float", "bool", "decreasing", "empty", "zero", "string"],
+    )
+    def test_malformed_blocks_raise(self, tiny_mixed, blocks, message):
+        with pytest.raises(ValueError, match=message):
+            verify_partition(tiny_mixed, CanonicalPartition(blocks, 0))
 
     def test_reducible_block_rejected(self):
         # {1, 2} is not strongly connected for this tensor

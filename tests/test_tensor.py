@@ -17,6 +17,7 @@ from perronkit import (
     collatz_wielandt,
     generate,
     is_strictly_nonnegative,
+    majorization,
     permute,
     principal_subtensor,
     read_tensor,
@@ -39,6 +40,29 @@ class TestConstruction:
             TensorShape(3, 0)
         with pytest.raises(ValueError, match=f"<= {np.iinfo(np.intp).max}"):
             TensorShape(3, 2**63)
+
+    @pytest.mark.parametrize(
+        "order, dim, message",
+        [
+            (3, 2.5, "tensor dimension must be an integer, got 2.5"),
+            (3, True, "tensor dimension must be an integer, got True"),
+            (2.5, 3, "tensor order must be an integer, got 2.5"),
+            (True, 3, "tensor order must be an integer, got True"),
+            (np.float64(3.0), 3, "tensor order must be an integer"),
+            (1, 3, "^tensor order must be >= 2, got 1$"),
+            (3, 0, "^tensor dimension must be >= 1, got 0$"),
+        ],
+    )
+    def test_shape_must_be_integers(self, order, dim, message):
+        with pytest.raises(ValueError, match=message):
+            TensorShape(order, dim)
+
+    def test_shape_stores_numpy_integers_as_int(self):
+        # A uint8 dimension of 20 made majorization's n * n wrap to 144.
+        shape = TensorShape(np.int64(2), np.uint8(20))
+        assert (type(shape.order), type(shape.dim)) == (int, int)
+        A = NonnegativeTensor(shape, {(i, i % 20 + 1): 1.0 for i in range(1, 21)})
+        assert majorization(A).shape == (20, 20)
 
     def test_zero_entries_dropped(self):
         A = NonnegativeTensor(TensorShape(2, 2), {(1, 1): 0.0, (1, 2): 2.0})
