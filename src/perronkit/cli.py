@@ -32,11 +32,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
+def _emit(payload, args) -> None:
+    if args.format == "json":
         print(json.dumps(payload))
-        return
-    _emit_plain(payload)
+    else:
+        args.plain(payload)
 
 
 def _emit_plain(payload, indent: str = "") -> None:
@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
 
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, plain=_emit_plain)
         return p
 
     p = command("partition", _cmd_partition, "canonical nonnegative partition")
@@ -103,61 +103,45 @@ def _build_parser() -> _Parser:
     p = command("repro-example", _cmd_repro, "compare the bundled example against its reference values")
     p.add_argument("--gamma", type=float, default=FOUR_BLOCKS_REFERENCE["gamma"])
     p.add_argument("--tol", type=float, default=FOUR_BLOCKS_REFERENCE["tolerance"])
+    p.set_defaults(plain=_print_repro)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "plain"), default="json")
     return parser
 
 
-def _cmd_partition(args) -> int:
+def _cmd_partition(args) -> tuple[int, dict]:
     P = canonical_partition(read_tensor(args.file))
-    _emit(
-        {
-            "blocks": [list(b) for b in P.blocks],
-            "genuine": list(P.genuine),
-            "s": P.s,
-        },
-        args.format,
-    )
-    return 0
+    return 0, {"blocks": [list(b) for b in P.blocks], "genuine": list(P.genuine), "s": P.s}
 
 
-def _cmd_majorization(args) -> int:
-    _emit(majorization(read_tensor(args.file)).tolist(), args.format)
-    return 0
+def _cmd_majorization(args) -> tuple[int, list]:
+    return 0, majorization(read_tensor(args.file)).tolist()
 
 
-def _cmd_radius(args) -> int:
+def _cmd_radius(args) -> tuple[int, dict]:
     cfg = PowerMethodConfig(tolerance=args.tol, max_iterations=args.max_iter)
     P, spectra = block_spectra(read_tensor(args.file), cfg)
-    _emit(
-        {
-            "rho": max(sp.rho for sp in spectra),
-            "blocks": [list(b) for b in P.blocks],
-            "block_radii": [sp.rho for sp in spectra],
-        },
-        args.format,
-    )
-    return 0
+    return 0, {
+        "rho": max(sp.rho for sp in spectra),
+        "blocks": [list(b) for b in P.blocks],
+        "block_radii": [sp.rho for sp in spectra],
+    }
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, dict]:
     cfg = FixedPointConfig(rho_equality_tol=args.rho_tol)
     cls = classify(read_tensor(args.file), cfg, PowerMethodConfig(tolerance=_CLASSIFY_POWER_TOL))
-    _emit(
-        {
-            "status": cls.outcome.value,
-            "lambda": cls.lam,
-            "blocks": [list(b) for b in cls.partition.blocks],
-            "genuine": list(cls.partition.genuine),
-            "block_radii": [sp.rho for sp in cls.block_spectra],
-        },
-        args.format,
-    )
-    return 0 if cls.is_strong else 2
+    return 0 if cls.is_strong else 2, {
+        "status": cls.outcome.value,
+        "lambda": cls.lam,
+        "blocks": [list(b) for b in cls.partition.blocks],
+        "genuine": list(cls.partition.genuine),
+        "block_radii": [sp.rho for sp in cls.block_spectra],
+    }
 
 
-def _cmd_perron(args) -> int:
+def _cmd_perron(args) -> tuple[int, dict]:
     cfg = FixedPointConfig(
         gamma=args.gamma,
         tolerance=args.tol,
@@ -168,54 +152,39 @@ def _cmd_perron(args) -> int:
     try:
         result = positive_perron_vector(read_tensor(args.file), cfg, power_cfg)
     except NotStronglyNonnegative as exc:
-        _emit(
-            {
-                "status": exc.classification.outcome.value,
-                "lambda": exc.classification.lam,
-                "vector": None,
-                "residual": None,
-                "iterations": None,
-            },
-            args.format,
-        )
-        return 2
+        cls = exc.classification
+        unsolved = {"vector": None, "residual": None, "iterations": None}
+        return 2, {"status": cls.outcome.value, "lambda": cls.lam, **unsolved}
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "step_norm", "residual"])
             for rec in result.trace:
                 writer.writerow([rec.iteration, repr(rec.step_norm), repr(rec.residual)])
-    _emit(
-        {
-            "status": "strong",
-            "lambda": result.lam,
-            "vector": [float(v) for v in result.z],
-            "residual": result.residual,
-            "iterations": result.iterations,
-        },
-        args.format,
-    )
-    return 0
+    return 0, {
+        "status": "strong",
+        "lambda": result.lam,
+        "vector": [float(v) for v in result.z],
+        "residual": result.residual,
+        "iterations": result.iterations,
+    }
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[int, dict]:
     sizes = tuple(int(tok) for tok in args.blocks.split(","))
-    spec = GeneratorSpec(block_sizes=sizes, rt=args.rt, den=args.den, seed=args.seed)
-    A = generate(spec)
+    A = generate(GeneratorSpec(block_sizes=sizes, rt=args.rt, den=args.den, seed=args.seed))
     write_tensor(A, args.out)
-    _emit({"path": args.out, "order": A.order, "dim": A.dim, "nnz": A.nnz}, args.format)
-    return 0
+    return 0, {"path": args.out, "order": A.order, "dim": A.dim, "nnz": A.nnz}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     from .selfcheck import run_selfcheck
 
     report = run_selfcheck()
-    _emit(report, args.format)
-    return 0 if report["passed"] else 1
+    return 0 if report["passed"] else 1, report
 
 
-def _cmd_repro(args) -> int:
+def _cmd_repro(args) -> tuple[int, dict]:
     ref = FOUR_BLOCKS_REFERENCE
     A = four_blocks_tensor()
     cfg = FixedPointConfig(gamma=args.gamma, tolerance=args.tol)
@@ -247,16 +216,7 @@ def _cmd_repro(args) -> int:
         }
     )
     passed = all(row["ok"] for row in rows)
-    payload = {"passed": passed, "rows": rows}
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        width = max(len(r["quantity"]) for r in rows)
-        for r in rows:
-            mark = "ok" if r["ok"] else "MISMATCH"
-            print(f"{r['quantity']:<{width}}  expected {r['expected']!s:>12}  got {r['computed']:<22}  {mark}")
-        print("all values reproduced" if passed else "some values did not reproduce")
-    return 0 if passed else 1
+    return 0 if passed else 1, {"passed": passed, "rows": rows}
 
 
 def _repro_row(quantity: str, expected: float, computed: float, tol: float) -> dict:
@@ -269,10 +229,22 @@ def _repro_row(quantity: str, expected: float, computed: float, tol: float) -> d
     }
 
 
+def _print_repro(payload: dict) -> None:
+    # The plain form of repro-example: one aligned line per quantity, then a verdict.
+    rows = payload["rows"]
+    width = max(len(r["quantity"]) for r in rows)
+    for r in rows:
+        mark = "ok" if r["ok"] else "MISMATCH"
+        print(f"{r['quantity']:<{width}}  expected {r['expected']!s:>12}  got {r['computed']:<22}  {mark}")
+    print("all values reproduced" if payload["passed"] else "some values did not reproduce")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code, payload = args.run(args)
+        _emit(payload, args)
+        return code
     except (OSError, ValueError, NotConverged, ZeroIterate) as exc:
         print(f"perronkit: {exc}", file=sys.stderr)
         return 1

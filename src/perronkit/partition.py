@@ -29,6 +29,8 @@ class CanonicalPartition:
     s: int
 
     def __post_init__(self) -> None:
+        _check_integer("s", self.s)
+        object.__setattr__(self, "s", int(self.s))
         if not 0 <= self.s < len(self.blocks):
             raise ValueError(f"s = {self.s} outside [0, {len(self.blocks)})")
 

@@ -29,13 +29,13 @@ __all__ = [
 class PowerMethodConfig:
     """Stopping parameters for the higher-order power method.
 
-    ``tolerance`` bounds the final Collatz-Wielandt gap alpha - beta; it must
-    be finite and positive.  Since rounding leaves a few ulps of alpha under
-    the gap, a block stops at gap <= max(tolerance, 8 * eps * alpha), with
-    alpha the top of the shifted bracket: no scaling of the input puts that
-    stop out of reach.  ``max_iterations`` caps the sweeps.  The iteration
-    always runs on the input plus the identity tensor, which guarantees
-    global R-linear convergence on weakly irreducible inputs.
+    ``tolerance`` bounds the final Collatz-Wielandt gap alpha - beta, and so
+    the radius to half the gap, but not the vector; it must be finite and
+    positive.  Rounding leaves a few ulps of alpha under the gap, so a block
+    stops at gap <= max(tolerance, 8 * eps * alpha), with alpha the top of
+    the shifted bracket: no scaling of the input puts that stop out of reach.
+    ``max_iterations`` caps the sweeps.  Sweeping the input plus the identity
+    tensor guarantees global R-linear convergence on weakly irreducible inputs.
     """
 
     tolerance: float = 1e-10

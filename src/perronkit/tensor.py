@@ -145,14 +145,17 @@ class NonnegativeTensor:
 
 def _int_indices(values: Iterable) -> np.ndarray:
     # The values as an intp array.  Only integers pass, or no values at all: a
-    # float or string index is an error, never truncated or parsed.
-    a = np.array(list(values))
+    # float, string or bool index is an error, never truncated, parsed or read as 1.
+    values = list(values)
+    a = np.array(values)
+    if a.dtype.kind in "iu" and {bool, np.bool_} & set(map(type, np.array(values, object).flat)):
+        a = a.astype(bool)  # numpy read the bools among the integers as 0 and 1
     if a.size and (a.dtype.kind not in "iu" or a.max() > np.iinfo(np.intp).max):
         raise ValueError(f"indices must be {np.dtype(np.intp)} integers, got {a.dtype}")
     return a.astype(np.intp)
 
 
-def _check_integer(name: str, value, low: int) -> None:
+def _check_integer(name: str, value, low: float = -math.inf) -> None:
     # An integer setting is a Python or numpy integer, not a bool, and >= low.
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -273,6 +273,17 @@ class TestStoredFacts:
         with pytest.raises(ValueError, match="outside"):
             CanonicalPartition(((1,), (2,), (3,)), s)
 
+    @pytest.mark.parametrize(
+        "s", [1.0, 1.5, "1", True], ids=["float", "fraction", "string", "bool"]
+    )
+    def test_s_must_be_an_integer(self, s):
+        with pytest.raises(ValueError, match="s must be an integer"):
+            CanonicalPartition(((1,), (2,)), s)
+
+    def test_s_stores_numpy_integer_as_int(self):
+        P = CanonicalPartition(((1,), (2,)), np.int64(1))
+        assert type(P.s) is int and P.genuine == (False, True)
+
 
 class TestIsGenuine:
     def test_singleton_with_no_escape(self, tiny_mixed):
@@ -286,8 +297,8 @@ class TestIsGenuine:
 
     @pytest.mark.parametrize(
         "I",
-        [(1.9, 2.5, 3.1), np.array([2**63], dtype=np.uint64)],
-        ids=["floats", "uint64-beyond-intp"],
+        [(1.9, 2.5, 3.1), np.array([2**63], dtype=np.uint64), [True, 2], [np.True_, 2]],
+        ids=["floats", "uint64-beyond-intp", "bool", "numpy-bool"],
     )
     def test_non_integer_index_set_rejected(self, tiny_mixed, I):
         with pytest.raises(ValueError, match="indices must be .* integers"):

@@ -93,11 +93,20 @@ class TestConstruction:
             {("1", "2"): 1.0},
             {(1.2, 1): 1.0, (1.7, 1): 2.0},
             {(2**70, 1): 1.0},
+            {(True, 2): 1.0},
+            {(np.True_, 2): 1.0},
         ],
-        ids=["floats", "strings", "floats-truncating-to-one-entry", "beyond-intp"],
+        ids=[
+            "floats",
+            "strings",
+            "floats-truncating-to-one-entry",
+            "beyond-intp",
+            "bool",
+            "numpy-bool",
+        ],
     )
     def test_non_integer_index_rejected(self, entries):
-        # an index is never truncated, parsed or overflowed into a valid one
+        # an index is never truncated, parsed, overflowed or (a bool) read as 1
         with pytest.raises(ValueError, match="must hold 2 integer indices"):
             NonnegativeTensor(TensorShape(2, 2), entries)
 
@@ -342,8 +351,14 @@ class TestPrincipalSubtensor:
 
     @pytest.mark.parametrize(
         "I",
-        [(1.7, 2.2), ("1", "2"), np.array([1, 2**63], dtype=np.uint64)],
-        ids=["floats", "strings", "uint64-beyond-intp"],
+        [
+            (1.7, 2.2),
+            ("1", "2"),
+            np.array([1, 2**63], dtype=np.uint64),
+            [True, 2],
+            [np.True_, 2],
+        ],
+        ids=["floats", "strings", "uint64-beyond-intp", "bool", "numpy-bool"],
     )
     def test_non_integer_index_set_rejected(self, tiny_mixed, I):
         with pytest.raises(ValueError, match="indices must be .* integers"):
@@ -366,6 +381,12 @@ class TestPermutation:
     def test_non_integer_images_rejected(self, tiny_mixed):
         with pytest.raises(ValueError, match="indices must be .* integers"):
             permute(tiny_mixed, (2.0, 1.0, 3.0))
+
+    @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_bool_among_images_rejected(self, tiny_mixed, flag):
+        # numpy would read the bool beside integers as image 1
+        with pytest.raises(ValueError, match="indices must be int64 integers, got bool"):
+            permute(tiny_mixed, (flag, 3, 2))
 
     def test_identity_permutation(self, tiny_mixed):
         assert permute(tiny_mixed, (1, 2, 3)) == tiny_mixed
