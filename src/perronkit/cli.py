@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import __version__
@@ -244,7 +245,14 @@ def main(argv=None) -> int:
     try:
         code, payload = args.run(args)
         _emit(payload, args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `head` does.  As the signal
+        # module's docs advise, point stdout at devnull so that the flush at
+        # exit fails no more, and exit 1 without a message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError, NotConverged, ZeroIterate) as exc:
         print(f"perronkit: {exc}", file=sys.stderr)
         return 1

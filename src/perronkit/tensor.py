@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -49,6 +51,9 @@ class NonnegativeTensor:
     in lexicographic order; ``vals`` holds the matching positive values.  The
     constructor takes a map from 1-based index tuples ``(i1, ..., im)`` to
     values and drops zeros, so "stored entry" and "nonzero entry" coincide.
+    A dict that has already merged equal keys, such as ``(1, 2, 3)`` with
+    ``(True, 2, 3)`` or ``(1.0, 2, 3)``, hands it only the key it kept, so
+    the bool or float index it would reject goes unseen.
     ``entries`` gives the same data back as a read-only map of that form.
     Instances and their arrays are immutable.  A tensor built to be swept
     many times also keeps a private rank-major copy for :func:`apply`, in
@@ -177,6 +182,8 @@ def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray,
 
     Returns the rows made 0-based and put in lexicographic order, with zero
     values dropped.  Two equal rows are an error even when a value is zero.
+    Rows that already strictly increase, as :func:`write_tensor` writes them,
+    are neither sorted nor compared for duplicates: their order proves both.
     """
     bad = np.argwhere((idx < 1) | (idx > n))
     if len(bad):
@@ -189,12 +196,32 @@ def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(
             f"entry {tuple(idx[r].tolist())} has invalid value {vals[r]}; must be finite and >= 0"
         )
-    order = np.lexsort(idx.T[::-1])
-    idx, vals = idx[order] - 1, vals[order]
-    if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
-        raise ValueError("two index tuples name the same entry")
+    idx = np.subtract(idx, 1, order="F")  # the order _set keeps without a copy
+    if not _increasing(n, idx):
+        order = np.lexsort(idx.T[::-1])
+        idx, vals = idx[order], vals[order]
+        if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
+            raise ValueError("two index tuples name the same entry")
     keep = vals > 0
+    if keep.all():  # idx is a new array already; vals may be a view of the caller's
+        return idx, vals.copy()
     return idx[keep], vals[keep]
+
+
+def _increasing(n: int, idx: np.ndarray) -> bool:
+    # Whether the rows of idx, 0-based indices below n, strictly increase in
+    # lexicographic order.  Where n^m fits in intp (n^64 never does for
+    # n >= 2), each row fuses into its base-n number; otherwise the first
+    # nonzero of each row difference must be positive.
+    m = idx.shape[1]
+    if n ** min(m, 64) <= np.iinfo(np.intp).max:
+        key = idx[:, 0]
+        for col in idx.T[1:]:
+            key = key * n + col
+        return bool(np.all(key[1:] > key[:-1]))
+    diff = idx[1:] - idx[:-1]
+    first = np.take_along_axis(diff, np.argmax(diff != 0, axis=1)[:, None], axis=1)
+    return bool(np.all(first > 0))
 
 
 def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
@@ -281,6 +308,14 @@ def write_tensor(A: NonnegativeTensor, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# The ASCII line breaks of text mode and str.splitlines, other than "\n".
+_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_TO_NEWLINE = bytes.maketrans(b"".join(_LINE_BREAKS), b"\n" * len(_LINE_BREAKS))
+# Where "\n" is the only line break, str.split's blanks are " \t\x1f" and "\n".
+_COMMENT_LINE = re.compile(rb"^[ \t\x1f]*#.*", re.MULTILINE)
+_NONBLANK = re.compile(rb"[^ \t\x1f\n]")
+
+
 def read_tensor(path) -> NonnegativeTensor:
     """Read a tensor from the sparse text format.
 
@@ -293,22 +328,31 @@ def read_tensor(path) -> NonnegativeTensor:
     Indices are 1-based integer literals; values are finite nonnegative
     decimal literals.  Blank lines are skipped.  Duplicate index tuples are
     an error, even when a value is zero.  Errors name the offending line.
-    Lines are those of ``str.splitlines`` and tokens those of ``str.split``.
+    Lines are those of ``str.splitlines`` on the file read in text mode, and
+    tokens those of ``str.split``.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
+    if not raw.isascii():
+        raw.decode("ascii")  # raises the error that a text-mode read raises
+    # Text mode reads "\r\n" and "\r" as "\n"; str.splitlines also breaks at
+    # the rest of _LINE_BREAKS.  Afterwards "\n" is the only line break.
+    if any(map(raw.__contains__, _LINE_BREAKS)):
+        raw = raw.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
     try:
         return _parse_tensor(raw)
     except ValueError:
         pass
     # The line scan defines the format: it names the bad line, or reads the
     # rare valid syntax numpy does not parse, such as a value written 1_0.
-    return _scan_tensor(raw)
+    text = raw.decode("ascii")
+    del raw  # the bytes go before the scan's lines come
+    return _scan_tensor(text)
 
 
-def _header(lines: list[str]) -> tuple[TensorShape, int]:
+def _header(lines: Iterable[str]) -> tuple[TensorShape, int]:
     # The shape on the first line that is neither blank nor a comment, and
-    # that line's number.
+    # that line's number.  Reads no line past it.
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
@@ -322,25 +366,24 @@ def _header(lines: list[str]) -> tuple[TensorShape, int]:
     raise ValueError("empty tensor file: missing 'm n' header")
 
 
-def _parse_tensor(raw: str) -> NonnegativeTensor:
-    # One np.loadtxt call on the scan's lines, and array checks; raises
-    # ValueError on any input that is malformed or that numpy does not
-    # parse as the scan would.
-    lines = raw.splitlines()
-    shape, start = _header(lines)
-    m = shape.order
+def _parse_tensor(raw: bytes) -> NonnegativeTensor:
+    # One np.loadtxt call over the lines after the header, and array checks;
+    # raw is ASCII with "\n" its only line break.  Raises ValueError on any
+    # input that is malformed or that numpy does not parse as the scan would.
+    fh = io.BytesIO(raw)  # shares raw's buffer; iterating it yields lines
+    shape, _ = _header(map(bytes.decode, fh))
+    m, body = shape.order, fh.tell()
     # Skip loadtxt, which allocates m-wide rows, when no line after the
     # header can hold m indices.
-    if m > len(raw) - sum(len(line) + 1 for line in lines[:start]):
+    if m > len(raw) - body:
         raise ValueError("too few characters for one entry")
-    del lines[:start]
-    if "#" in raw:
-        lines = [line for line in lines if not line.lstrip().startswith("#")]
-    if not any(map(str.split, lines)):
+    if raw.find(b"#", body) >= 0:
+        raw, body = _COMMENT_LINE.sub(b"", raw[body:]), 0
+        fh = io.BytesIO(raw)
+    if not _NONBLANK.search(raw, body):
         return NonnegativeTensor(shape)
     dtype = [("i", np.intp, (m,)), ("v", np.float64)]
-    rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
-    del lines
+    rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
     return NonnegativeTensor._from_coo(shape, *_checked_coo(shape.dim, rows["i"], rows["v"]))
 
 

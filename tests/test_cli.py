@@ -396,6 +396,24 @@ def test_module_entry_point(fixture_file):
     assert json.loads(proc.stdout)["rho"] == pytest.approx(3.1253, abs=1e-3)
 
 
+def test_closed_stdout_pipe_exits_1_quietly(tmp_path):
+    # A reader that stops after one line, as `head -1` does.  The 600 lines of
+    # the majorization overflow the pipe's buffer, so the write finds it closed.
+    path = tmp_path / "diagonal.tns"
+    path.write_text("3 600\n" + "".join(f"{i} {i} {i} 1\n" for i in range(1, 601)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "perronkit.cli", "majorization", str(path), "--format", "plain"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert proc.stdout.readline().startswith(b"1.0 0.0 ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")
+
+
 def loaded_after_solve_and_perron(fixture_file, modules) -> list[str]:
     """Which of modules a fresh process holds after one solve and one ``perron`` command."""
     script = (

@@ -26,7 +26,7 @@ from perronkit import (
 from perronkit import tensor as tensor_module
 from perronkit.examples import four_blocks_tensor
 from perronkit.selfcheck import random_tensor
-from perronkit.tensor import _scan_tensor
+from perronkit.tensor import _checked_coo, _scan_tensor
 from perronkit.verification import brute_force_apply, dense_view
 
 from conftest import all_ones_tensor, reference_apply, swept
@@ -139,6 +139,27 @@ class TestConstruction:
             for array in (rows, fused, rest, *rest, vals):
                 with pytest.raises(ValueError):
                     array[...] = 0
+
+    @pytest.mark.parametrize("n", [3, 3_000_000])
+    def test_checked_rows_match_a_python_sort(self, n):
+        # Rows in order, shuffled or repeated, against Python's sort.  At
+        # n = 3e6, n^3 exceeds int64, so order-3 rows fuse into no key.
+        rng = random.Random(n)
+        for _ in range(400):
+            m = rng.choice([2, 3])
+            rows = [tuple(rng.choices([1, 2, n - 1, n], k=m)) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5:
+                rows.sort()
+            vals = np.arange(len(rows)) + rng.choice([0.0, 1.0])  # a zero value or none
+            idx = np.array(rows, dtype=np.intp).reshape(len(rows), m)
+            if len(set(rows)) < len(rows):
+                with pytest.raises(ValueError, match="same entry"):
+                    _checked_coo(n, idx, vals)
+                continue
+            kept = [k for k in sorted(range(len(rows)), key=rows.__getitem__) if vals[k] > 0]
+            out_idx, out_vals = _checked_coo(n, idx, vals)
+            assert out_idx.tolist() == [[i - 1 for i in rows[k]] for k in kept]
+            assert out_vals.tolist() == vals[kept].tolist()
 
 
 def fused_depth(S):
@@ -509,6 +530,27 @@ class TestFileFormat:
         assert read_tensor(commented).entries == {(1, 2): 0.5, (2, 1): 1.5}
         assert four_blocks_tensor().nnz > 0  # reads the bundled data file
 
+    def test_non_ascii_byte_fails_as_a_text_mode_read(self, tmp_path):
+        path = tmp_path / "u.tns"
+        path.write_bytes(b"3 2\r\n1 1 1 0.5\xe9\n")
+        with pytest.raises(UnicodeDecodeError) as read_error:
+            read_tensor(path)
+        with pytest.raises(UnicodeDecodeError) as text_error:
+            path.read_text(encoding="ascii")
+        assert str(read_error.value) == str(text_error.value)
+
+    def test_sorted_file_reads_without_a_sort(self, tmp_path, monkeypatch):
+        A = generate(GeneratorSpec((3, 4, 5), 1.3, 0.1, 7))
+        path = tmp_path / "gen.tns"
+        write_tensor(A, path)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        assert read_tensor(path) == A and sorts == []
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[::-1]]) + "\n")
+        assert read_tensor(path) == A and sorts == [1]
+
 
 # Each input is read by read_tensor and by the line scan that defines the format.
 READER_CORPUS = {
@@ -542,6 +584,13 @@ READER_CORPUS = {
     "huge dimension": "3 99999999999999999999\n1 1 1 1\n",
     "order one": "1 5\n1 1\n",
     "order far above the line length": "1000000 3\n1 1 1 1\n",
+    "sorted entries with an adjacent duplicate": "3 2\n1 1 1 0.5\n1 2 1 1\n1 2 1 2\n2 2 2 1\n",
+    "one swapped pair": "3 2\n1 1 1 0.5\n1 2 1 1\n1 1 2 2\n2 2 2 1\n",
+    "blank and comment lines before the header only": "\n# a\n \t\n  # b\n3 2\n1 1 1 0.5\n",
+    # n^m above the int64 range: no row fuses into one integer key.
+    "sorted entries beyond int64 keys": "3 3000000\n1 1 1 0.5\n1 1 3000000 1\n3000000 1 1 2\n",
+    "unsorted entries beyond int64 keys": "3 3000000\n1 1 3000000 1\n3000000 1 1 2\n1 1 1 0.5\n",
+    "duplicate entries beyond int64 keys": "3 3000000\n1 1 3000000 1\n1 1 3000000 2\n",
     # Both parsers break lines where str.splitlines does, not only at "\n".
     **{
         f"{name} {where}": text.format(c)
@@ -579,6 +628,27 @@ def read_outcomes(path, text: str) -> list:
 def test_reader_matches_line_scan(tmp_path, text):
     outcomes = read_outcomes(tmp_path / "t.tns", text)
     assert outcomes[0] == outcomes[1]
+
+
+def test_reader_falls_back_to_line_scan_no_more_often(tmp_path, monkeypatch):
+    # The corpus texts the fast path leaves to the scan: those with an error,
+    # numpy's syntax gaps and empty bodies.  29 of the 48, as many as with
+    # the line-list parser that the byte parser replaced.
+    fallbacks = []
+
+    def scan(raw):
+        fallbacks.append(raw)
+        return _scan_tensor(raw)
+
+    monkeypatch.setattr(tensor_module, "_scan_tensor", scan)
+    path = tmp_path / "t.tns"
+    for text in READER_CORPUS.values():
+        path.write_bytes(text.encode("ascii"))
+        try:
+            read_tensor(path)
+        except ValueError:
+            pass
+    assert len(fallbacks) <= 29
 
 
 SEPARATORS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -661,14 +731,15 @@ class TestReaderMemory:
         return peak, error
 
     def test_generated_file(self, tmp_path, gen_large_text):
-        # 21.4 MB; 25.5 MB when the fast path copied the body text twice.
+        # 14.7 MB; 21.4 MB when the fast path split the text into a list of
+        # lines and sorted the rows, 25.5 MB when it copied the body text twice.
         path = tmp_path / "gen.tns"
         path.write_text(gen_large_text)
         peak, error = self.read_peak(path)
-        assert not error and peak < 23e6
+        assert not error and peak < 15.5e6
 
     def test_bad_last_line(self, tmp_path, gen_large_text):
-        # The scan's own peak: the fast path's lines and arrays are gone
+        # The scan's own peak: the fast path's arrays and the file's bytes are gone
         # before it starts.
         path = tmp_path / "bad.tns"
         path.write_text(gen_large_text + "1 1 1 x\n")
