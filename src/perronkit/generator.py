@@ -80,6 +80,8 @@ def generate(spec: GeneratorSpec) -> NonnegativeTensor:
     if not np.isfinite(val_parts[-1]).all():
         raise ValueError(f"rt = {spec.rt:g} overflows the genuine block's entries")
 
+    # Couplings per non-final block; one block has none.
+    coupling_idx, coupling_vals = [np.empty((0, 3), dtype=np.intp)], [np.empty(0)]
     for block in blocks[:-1]:
         rows = np.arange(block.start - 1, block.stop - 1)
         later = np.arange(block.stop - 1, n)
@@ -87,10 +89,17 @@ def generate(spec: GeneratorSpec) -> NonnegativeTensor:
         chosen = coords[rng.random(len(coords)) < spec.den]
         if not len(chosen):
             chosen = coords[[int(rng.integers(len(coords)))]]
-        idx_parts.append(chosen)
-        val_parts.append(1.0 - rng.random(len(chosen)))
+        coupling_idx.append(chosen)
+        coupling_vals.append(1.0 - rng.random(len(chosen)))
 
-    idx, vals = _checked_coo(n, np.concatenate(idx_parts) + 1, np.concatenate(val_parts))
+    # A row's couplings have later tails than its diagonal block's entries,
+    # so each goes after its row's last diagonal entry, in drawing order,
+    # and the rows stay in lexicographic order: nothing needs a sort.
+    couplings = np.concatenate(coupling_idx)
+    at = np.searchsorted(tensor.idx[:, 0], couplings[:, 0], side="right")
+    idx = np.insert(tensor.idx, at, couplings, axis=0)
+    vals = np.insert(np.concatenate(val_parts), at, np.concatenate(coupling_vals))
+    idx, vals = _checked_coo(n, idx + 1, vals)
     return NonnegativeTensor._from_coo(shape, idx, vals)
 
 

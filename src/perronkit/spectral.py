@@ -94,7 +94,7 @@ def _plus_identity(B: NonnegativeTensor) -> NonnegativeTensor:
     # B's rows are sorted.  Row i's entries whose first nonzero of tail - i is
     # negative sort before (i, ..., i), so the key 2i + (lead >= 0) is sorted
     # and a missing diagonal goes where 2i + 1 would.  The power method sweeps
-    # the result many times, so it carries the rank-major copy.
+    # the result many times, so it carries a sweep layout.
     idx = B.idx
     offset = idx[:, 1:] - idx[:, :1]
     lead = offset[np.arange(B.nnz), np.argmax(offset != 0, axis=1)]  # 0 on the diagonal

@@ -22,6 +22,15 @@ __all__ = [
     "write_tensor",
 ]
 
+# Swept tensors with fewer entries keep the rank-major layout and bincount;
+# larger ones get the padded layout of _padded.  Measured on the B + I and
+# A_R that solves of generated order-3 tensors sweep (shared 2-vCPU VM,
+# numpy 2.4.6), one padded apply took 1.06-2.16 times as long as a
+# rank-major one up to 6 600 entries, 0.71-1.35 times from 6 900 to 35 000
+# (rows in two groups cost more than in one), and 0.58-0.75 times at
+# 108 000-119 000.
+_PADDED_MIN_NNZ = 2**14
+
 
 @dataclass(frozen=True)
 class TensorShape:
@@ -56,10 +65,13 @@ class NonnegativeTensor:
     the bool or float index it would reject goes unseen.
     ``entries`` gives the same data back as a read-only map of that form.
     Instances and their arrays are immutable.  A tensor built to be swept
-    many times also keeps a private rank-major copy for :func:`apply`, in
+    many times also keeps a private sweep layout for :func:`apply`, in
     which the first d tail indices of each entry are fused into one flat
     index into the product table x^{(x)d}; d is the largest j < m with
-    n^j <= nnz (at least 1), so the table never outgrows the tensor.
+    n^j <= nnz (at least 1), so the table never outgrows the tensor.  Below
+    2^14 entries the layout is a rank-major copy, summed by ``bincount``;
+    from 2^14 on it is padded and grouped by row length, each group summed
+    along one axis, in at most 2 nnz slots.
     """
 
     shape: TensorShape
@@ -80,14 +92,15 @@ class NonnegativeTensor:
     def _from_coo(cls, shape: TensorShape, idx, vals, swept: bool = False) -> NonnegativeTensor:
         # Trusted constructor: idx (intp) rows distinct, 0-based, in range and
         # in lexicographic order, vals (float64) positive.  With swept, apply
-        # reads the rank-major copy, built at its first call.
+        # reads the sweep layout, rank-major or padded by the entry count,
+        # built at its first call.
         A = cls.__new__(cls)
         A._set(shape, idx, vals, swept)
         return A
 
     def _set(self, shape: TensorShape, idx, vals, swept: bool = False) -> None:
         # Contiguous columns speed up the partition's column reads and the
-        # rank-major build more than the copy costs.
+        # sweep layout's build more than the copy costs.
         idx = np.asfortranarray(idx)
         idx.flags.writeable = False
         vals.flags.writeable = False
@@ -109,26 +122,34 @@ class NonnegativeTensor:
         return len(self.vals)
 
     @cached_property
-    def _rank_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # (rows, fused, rest, vals) in the jagged-diagonal order: the k-th entry
-        # of every row before any row's (k+1)-th, so consecutive entries add to
-        # different rows and bincount's adds need not wait on each other.  The
-        # rank rises along each row, so every row keeps its idx order and sums
-        # the same terms in the same order.  fused = c2*n^(d-1) + ... + c(d+1)
-        # indexes apply's table by the first d tail columns; rest holds the others.
-        m, n = self.order, self.dim
+    def _sweep_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+        # (fused, rest, vals, rows, groups), what apply reads on a swept tensor.
+        # fused = c2*n^(d-1) + ... + c(d+1) indexes apply's table by the first
+        # d tail columns; rest holds the others.  Below _PADDED_MIN_NNZ entries
+        # the order is jagged-diagonal (rank-major): the k-th entry of every
+        # row before any row's (k+1)-th, so consecutive entries add to
+        # different rows and bincount's adds need not wait on each other;
+        # rows holds each entry's row and groups is None.  Larger tensors get
+        # the padded layout of _padded, in which groups lists the (L, w)
+        # blocks and rows maps each row to its column sum.  In both, each
+        # row keeps its idx order and sums the same terms in the same order.
+        m, n, nnz = self.order, self.dim, self.nnz
         d = 1
-        while d < m - 1 and n ** (d + 1) <= self.nnz:
+        while d < m - 1 and n ** (d + 1) <= nnz:
             d += 1
         cols = self.idx.T
-        rank = np.arange(self.nnz) - np.searchsorted(cols[0], np.arange(n)).take(cols[0])
-        order = np.argsort(rank, kind="stable")
         fused = cols[1]
         for col in cols[2 : d + 1]:
             fused = fused * n + col
-        rest = cols[d + 1 :].take(order, axis=1)
-        layout = (cols[0].take(order), fused.take(order), rest, self.vals.take(order))
-        for array in layout:
+        rest = cols[d + 1 :]
+        starts = np.searchsorted(cols[0], np.arange(n + 1))
+        rank = np.arange(nnz) - starts[cols[0]]
+        if nnz < _PADDED_MIN_NNZ:
+            order = np.argsort(rank, kind="stable")
+            layout = (fused[order], rest[:, order], self.vals[order], cols[0][order], None)
+        else:
+            layout = _padded(np.diff(starts), cols[0], rank, fused, n**d, rest, self.vals)
+        for array in layout[:4]:
             array.flags.writeable = False
         return layout
 
@@ -231,13 +252,15 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     ``sum over stored entries a[i, i2, ..., im] * x[i2] * ... * x[im]``,
     i.e. the left-hand side of the tensor eigenvalue equation.  Only stored
     nonzeros contribute.  Each term is ``((x[i2] * x[i3]) * ...) * a`` and each
-    row sums its terms in ``idx`` order, whichever order the entries are swept
-    in, so the result is bit-reproducible.  A swept tensor reads the leading
-    d factors of each term from the table of all products
+    row sums its terms in ``idx`` order, whichever layout the entries are
+    swept in, so the result is bit-reproducible.  A swept tensor reads the
+    leading d factors of each term from the table of all products
     ``(x[j1] * x[j2]) * ... * x[jd]``, built once per call with the same
     rounding, and multiplies in the other tail factors and ``a`` as before;
     at d = 1 the table is x.  The table's overflows stay silent: most of its
-    products are read by no entry.
+    products are read by no entry.  A small swept tensor adds its terms with
+    one ``bincount``; a large one adds each group of its padded layout with
+    one sum along axis 0, and its padded slots add +0.0.
     """
     x = np.asarray(x, dtype=np.float64)
     n = A.dim
@@ -246,18 +269,74 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     if A.nnz == 0:
         return np.zeros(n)
     if A._swept:
-        rows, fused, rest, vals = A._rank_major
+        fused, rest, vals, rows, groups = A._sweep_layout
     else:
-        rows, fused, rest, vals = A.idx[:, 0], A.idx[:, 1], A.idx.T[2:], A.vals
+        fused, rest, vals, rows, groups = A.idx[:, 1], A.idx.T[2:], A.vals, A.idx[:, 0], None
     table = x
     for _ in range(A.order - 2 - len(rest)):
         with np.errstate(over="ignore", invalid="ignore"):  # most products go unread
             table = np.multiply.outer(table, x)
-    p = table.ravel().take(fused)
+    if groups is not None:  # padded slots read the zero appended to the table and to x
+        table, x = np.append(table, 0.0), np.append(x, 0.0)
+    # Fancy indexing, not take: take copies a read-only index on every call.
+    p = table.ravel()[fused]
     for col in rest:
         p *= x[col]
     p *= vals
-    return np.bincount(rows, weights=p, minlength=n)
+    if groups is None:
+        return np.bincount(rows, weights=p, minlength=n)
+    sums = np.zeros(sum(w for _, w in groups) + 1)  # rows with no entries read the last
+    at = col = 0
+    for length, width in groups:
+        block = p[at : at + length * width].reshape(length, width)
+        np.add.reduce(block, axis=0, out=sums[col : col + width])
+        at += length * width
+        col += width
+    return sums[rows]
+
+
+def _padded(counts, rows, rank, fused, pad, rest, vals) -> tuple:
+    # The padded, length-grouped layout of a swept tensor: ELLPACK cut into
+    # groups of rows of similar length, as in SELL-C-sigma.  The rows that
+    # hold entries, sorted by count (descending, stable), are cut where
+    # floor(log2 count) changes.  A group of w rows whose longest holds L
+    # entries is a C-ordered (L, w) block whose column j holds the group's
+    # j-th row's entries in idx order.  numpy sums axis 0 of such a block
+    # one block row at a time, so each column adds its terms in idx order,
+    # as bincount does, and the padding below them adds +0.0.  An (L, 1)
+    # block numpy sums pairwise, so a one-row group is padded to width 2.
+    # Padded slots read table slot pad and x slot n, the zeros apply
+    # appends, never a real product: an overflowed product that no entry
+    # reads would turn inf * 0 into NaN.  Every row pads to less than twice
+    # its count (a one-row group to twice), so the layout holds at most
+    # 2 nnz slots.  Returns (fused, rest, vals, rows, groups): groups lists
+    # the blocks' (L, w), and rows maps each row to its column sum, a row
+    # with no entries to the zero after the last.
+    n = len(counts)
+    order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+    level = np.frexp(counts[order])[1]  # floor(log2 count) + 1
+    first = np.flatnonzero(np.diff(level, prepend=0))  # each group's first row
+    members = np.diff(first, append=len(order))
+    lengths, widths = counts[order[first]], np.maximum(members, 2)
+    sizes = lengths * widths
+    group = np.repeat(np.arange(len(first)), members)
+    j = np.arange(len(order)) - first[group]  # each row's column within its group
+    head = np.zeros(n, dtype=np.intp)  # the slot of each row's first entry
+    step = np.zeros(n, dtype=np.intp)
+    column = np.full(n, widths.sum(), dtype=np.intp)
+    head[order] = (np.cumsum(sizes) - sizes)[group] + j
+    step[order] = widths[group]
+    column[order] = (np.cumsum(widths) - widths)[group] + j
+    slot = head[rows] + rank * step[rows]
+    size = int(sizes.sum())
+    padded_fused = np.full(size, pad, dtype=np.intp)
+    padded_fused[slot] = fused
+    padded_rest = np.full((len(rest), size), n, dtype=np.intp)
+    padded_rest[:, slot] = rest
+    padded_vals = np.zeros(size)
+    padded_vals[slot] = vals
+    groups = tuple(zip(lengths.tolist(), widths.tolist()))
+    return padded_fused, padded_rest, padded_vals, column, groups
 
 
 def principal_subtensor(A: NonnegativeTensor, I: Iterable[int]) -> NonnegativeTensor:

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from perronkit import NonnegativeTensor, TensorShape
+from perronkit import tensor as tensor_module
 from perronkit.examples import four_blocks_tensor, majorization_counterexample_tensor
 
 
@@ -15,8 +17,20 @@ def all_ones_tensor(order: int, dim: int) -> NonnegativeTensor:
 
 
 def swept(A: NonnegativeTensor) -> NonnegativeTensor:
-    """A with the rank-major copy that apply reads on tensors it sweeps."""
+    """A with the sweep layout that apply reads on tensors it sweeps."""
     return NonnegativeTensor._from_coo(A.shape, A.idx, A.vals, swept=True)
+
+
+def swept_layouts(A: NonnegativeTensor) -> tuple[NonnegativeTensor, NonnegativeTensor]:
+    """A swept in the rank-major layout and in the padded one, whatever its size."""
+    copies = []
+    for cut in (math.inf, 0):
+        S = swept(A)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor_module, "_PADDED_MIN_NNZ", cut)
+            S._sweep_layout  # built once, cached on S
+        copies.append(S)
+    return tuple(copies)
 
 
 def reference_apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:

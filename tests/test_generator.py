@@ -84,6 +84,19 @@ class TestGenerate:
             P = canonical_partition(A)
             assert P.genuine == (False, False, False, True)
 
+    @pytest.mark.parametrize("sizes", [(4,), (2, 3), (3, 1, 4, 5)])
+    def test_rows_come_out_sorted_with_no_sort(self, monkeypatch, sizes):
+        # Each row's couplings follow its diagonal entries, so the rows are
+        # in lexicographic order as drawn and the checks never lexsort them.
+        def no_lexsort(keys):
+            raise AssertionError("generate sorted its rows")
+
+        monkeypatch.setattr(np, "lexsort", no_lexsort)
+        for seed in range(4):
+            A = generate(GeneratorSpec(sizes, rt=1.5, den=0.3, seed=seed))
+            rows = A.idx.tolist()
+            assert rows == sorted(rows)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GeneratorSpec(block_sizes=(), rt=2.0, den=0.5, seed=0)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 import perronkit.perron as perron
 import perronkit.spectral as spectral
+import perronkit.tensor as tensor_module
 from perronkit import (
     Classification,
     FixedPointConfig,
@@ -403,7 +404,7 @@ class TestRowsOfR:
         for B in calls[1:]:
             assert np.array_equal(B.idx, A.idx[r_rows])
             assert np.array_equal(B.vals, A.vals[r_rows])
-            assert "_rank_major" in vars(B)  # swept in rank-major order
+            assert "_sweep_layout" in vars(B)  # swept through its sweep layout
 
 
 def fixed_point_step(A, P, z, lam):
@@ -465,23 +466,30 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("A, gamma", kernel_identity_cases())
     def test_solve_matches_reference_kernel(self, A, gamma, monkeypatch):
         shipped = solve_outcomes(A, gamma)
+        monkeypatch.setattr(tensor_module, "_PADDED_MIN_NNZ", 0)  # every sweep padded
+        padded = solve_outcomes(A, gamma)
         monkeypatch.setattr(perron, "apply", reference_apply)
         monkeypatch.setattr(spectral, "apply", reference_apply)
-        assert solve_outcomes(A, gamma) == shipped
+        assert solve_outcomes(A, gamma) == shipped == padded
 
     def test_cases_sweep_fused_tables(self, monkeypatch):
-        depths = set()
+        # in both layouts: every swept tensor rank-major, then every one padded
+        depths = {math.inf: set(), 0: set()}
 
         def recorded(B, x, _original=perron.apply):
             if B._swept:
-                depths.add((B.order, B.order - 1 - len(B._rank_major[2])))
+                _, rest, _, _, groups = B._sweep_layout
+                assert (groups is None) == (tensor_module._PADDED_MIN_NNZ > 0)
+                depths[tensor_module._PADDED_MIN_NNZ].add((B.order, B.order - 1 - len(rest)))
             return _original(B, x)
 
         monkeypatch.setattr(perron, "apply", recorded)
         monkeypatch.setattr(spectral, "apply", recorded)
-        for case in kernel_identity_cases():
-            solve_outcomes(*case.values)
-        assert {(3, 1), (3, 2), (4, 2)} <= depths
+        for cut in depths:
+            monkeypatch.setattr(tensor_module, "_PADDED_MIN_NNZ", cut)
+            for case in kernel_identity_cases():
+                solve_outcomes(*case.values)
+        assert all({(3, 1), (3, 2), (4, 2)} <= found for found in depths.values())
 
     def test_huge_start_reaches_the_fixed_point(self):
         A = single_one_tails_tensor()

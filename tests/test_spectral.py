@@ -526,9 +526,9 @@ class TestBlockSpectra:
         assert peak < 12e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
 
     def test_solve_peak_memory_at_gen_large(self):
-        # The rank-major copies of B + I and of the rows of R add to the
-        # solve's allocation; they are built at the first sweep, once the
-        # temporaries that built each tensor are gone.
+        # The sweep layouts of B + I and of the rows of R, padded at this
+        # size, add to the solve's allocation; they are built at the first
+        # sweep, once the temporaries that built each tensor are gone.
         A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
         tracemalloc.start()
         try:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -29,7 +30,7 @@ from perronkit.selfcheck import random_tensor
 from perronkit.tensor import _checked_coo, _scan_tensor
 from perronkit.verification import brute_force_apply, dense_view
 
-from conftest import all_ones_tensor, reference_apply, swept
+from conftest import all_ones_tensor, reference_apply, swept, swept_layouts
 
 
 class TestConstruction:
@@ -125,20 +126,20 @@ class TestConstruction:
         for name in ("shape", "idx", "vals"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(A, name, getattr(A, name))
-        # the rank-major copy of a tensor swept at fused depth 2, with no
+        # both sweep layouts of a tensor swept at fused depth 2, with no
         # remaining tail column (order 3) and with one (order 4)
         B = NonnegativeTensor(
             TensorShape(4, 2),
             {(1, 1, 2, 2): 1.0, (1, 2, 1, 2): 2.0, (2, 1, 1, 2): 3.0, (2, 1, 2, 1): 4.0, (2, 2, 2, 2): 5.0},
         )
         for T, remaining in ((A, 0), (B, 1)):
-            S = swept(T)
-            apply(S, np.ones(2))
-            rows, fused, rest, vals = S._rank_major
-            assert rest.shape == (remaining, T.nnz)
-            for array in (rows, fused, rest, *rest, vals):
-                with pytest.raises(ValueError):
-                    array[...] = 0
+            for S in swept_layouts(T):
+                fused, rest, vals, rows, groups = S._sweep_layout
+                slots = T.nnz if groups is None else len(vals)
+                assert len(fused) == slots and rest.shape == (remaining, slots)
+                for array in (fused, rest, *rest, vals, rows):
+                    with pytest.raises(ValueError):
+                        array[...] = 0
 
     @pytest.mark.parametrize("n", [3, 3_000_000])
     def test_checked_rows_match_a_python_sort(self, n):
@@ -163,15 +164,25 @@ class TestConstruction:
 
 
 def fused_depth(S):
-    """The number of leading tail indices the rank-major copy of S fuses."""
-    return S.order - 1 - len(S._rank_major[2])
+    """The number of leading tail indices the sweep layout of S fuses."""
+    return S.order - 1 - len(S._sweep_layout[1])
 
 
 def decoded(S):
-    """The rank-major copy of S as full index rows and values, fused index decoded."""
-    rows, fused, rest, vals = S._rank_major
+    """The rank-major layout of S as full index rows and values, fused index decoded."""
+    fused, rest, vals, rows, groups = S._sweep_layout
+    assert groups is None
     cols = (rows, *np.unravel_index(fused, (S.dim,) * fused_depth(S)), *rest)
     return np.column_stack(cols), vals
+
+
+def slot_rows(S):
+    """The row each slot of the padded layout of S adds to: -1 in a column of no row."""
+    _, _, _, rows, groups = S._sweep_layout
+    ends = np.cumsum([w for _, w in groups])
+    owner = np.full(ends[-1] + 1, -1)
+    owner[rows] = np.arange(S.dim)  # rows with no entries all name the last
+    return np.concatenate([np.tile(owner[c - w : c], L) for (L, w), c in zip(groups, ends)])
 
 
 def kernel_corpus():
@@ -199,13 +210,13 @@ def kernel_corpus():
 
 class TestApply:
     def test_kernel_is_byte_equal_to_reference(self):
-        # Each row sums its terms in idx order in either order of the sweep,
-        # so the rank-major copy changes no bit.
+        # Each row sums its terms in idx order in every layout of the sweep,
+        # so neither the rank-major nor the padded one changes a bit.
         rng = np.random.default_rng(29)
         for A in kernel_corpus():
             x = rng.random(A.dim) + 0.05
             want = reference_apply(A, x)
-            for got in (apply(A, x), apply(swept(A), x)):
+            for got in (apply(A, x), *(apply(S, x) for S in swept_layouts(A))):
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_fused_depth_is_the_largest_whose_table_fits_in_nnz(self):
@@ -222,23 +233,24 @@ class TestApply:
     def test_sparse_tensor_keeps_depth_one_and_allocates_no_square_table(self):
         n = 20_000
         keys = [(1, 2, 3), (5, 20_000, 7), (9, 9, 9), (20_000, 1, 1), (3, 3, 14_000)]
-        S = swept(NonnegativeTensor(TensorShape(3, n), dict.fromkeys(keys, 0.5)))
-        assert fused_depth(S) == 1  # checked first: an n^2 table would be 3.2 GB
+        A = NonnegativeTensor(TensorShape(3, n), dict.fromkeys(keys, 0.5))
         x = np.full(n, 0.5)
-        tracemalloc.start()
-        try:
-            y = apply(S, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * x.nbytes
-        assert y.tobytes() == reference_apply(S, x).tobytes()
+        for S in swept_layouts(A):
+            assert fused_depth(S) == 1  # checked first: an n^2 table would be 3.2 GB
+            tracemalloc.start()
+            try:
+                y = apply(S, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * x.nbytes
+            assert y.tobytes() == reference_apply(A, x).tobytes()
 
     def test_rank_major_copy_keeps_each_row_in_order(self):
         for A in kernel_corpus():
             if not A.nnz:
                 continue
-            idx, vals = decoded(swept(A))
+            idx, vals = decoded(swept_layouts(A)[0])
             by_row = np.argsort(idx[:, 0], kind="stable")
             assert np.array_equal(idx[by_row], A.idx)
             assert np.array_equal(vals[by_row], A.vals)
@@ -253,23 +265,135 @@ class TestApply:
         A3 = NonnegativeTensor(TensorShape(4, 4), {k: 1.0 + k[3] / 8 for k in keys})
         A2 = NonnegativeTensor(TensorShape(4, 4), {k: v for k, v in A3.entries.items() if k[0] == 1})
         for A, depth in ((A2, 2), (A3, 3)):
-            S = swept(A)
-            assert fused_depth(S) == depth
+            layouts = swept_layouts(A)
+            assert [fused_depth(S) for S in layouts] == [depth, depth]
             for big in (1e100, 1e155, 1e160, 1e200, 1e306):
                 x = np.array([big, 0.25, 0.5, 2.0])
                 want = reference_apply(A, x)
                 assert np.all(np.isfinite(want))
-                for got in (apply(A, x), apply(S, x)):
+                for got in (apply(A, x), *(apply(S, x) for S in layouts)):
                     assert got.tobytes() == want.tobytes()
 
-    def test_one_shot_callers_build_no_rank_major_copy(self):
-        # Building the copy costs several applies, so only loops that sweep
-        # one tensor many times ask for it.
-        A = four_blocks_tensor()
-        is_strictly_nonnegative(A)
-        collatz_wielandt(A, np.ones(A.dim))
-        apply(A, np.ones(A.dim))
-        assert "_rank_major" not in vars(A)
+    def test_one_shot_callers_build_no_rank_major_copy(self, monkeypatch):
+        # Building a sweep layout, rank-major or padded, costs several
+        # applies, so only loops that sweep one tensor many times ask for it.
+        for cut in (math.inf, 0):
+            monkeypatch.setattr(tensor_module, "_PADDED_MIN_NNZ", cut)
+            A = four_blocks_tensor()
+            is_strictly_nonnegative(A)
+            collatz_wielandt(A, np.ones(A.dim))
+            apply(A, np.ones(A.dim))
+            assert "_sweep_layout" not in vars(A)
+
+    def test_layout_follows_the_size_cut(self):
+        # Below the cut a swept tensor keeps the rank-major layout; from the
+        # cut on it gets the padded one.  The cut reads the entry count alone.
+        cut = tensor_module._PADDED_MIN_NNZ
+        keys = itertools.product(range(1, 33), repeat=3)
+        A = NonnegativeTensor(TensorShape(3, 32), {k: 0.5 for k, _ in zip(keys, range(cut))})
+        assert A.nnz == cut
+        small = principal_subtensor(A, range(1, 32))
+        assert small.nnz < cut
+        assert swept(small)._sweep_layout[4] is None
+        assert swept(A)._sweep_layout[4] is not None
+
+    def test_padded_layout_keeps_each_row_in_order(self):
+        # Read slot by slot, the padded layout holds every entry once, each
+        # row's in idx order; padded slots read the zeros that apply appends
+        # to the table and to x, and a row with no entries the zero sum.
+        for A in kernel_corpus():
+            if not A.nnz:
+                continue
+            S = swept_layouts(A)[1]
+            fused, rest, vals, rows, groups = S._sweep_layout
+            n, d = A.dim, fused_depth(S)
+            real = vals > 0
+            assert np.all(fused[~real] == n**d) and np.all(rest[:, ~real] == n)
+            row = slot_rows(S)
+            assert np.all(row[real] >= 0)
+            tail = np.unravel_index(fused[real], (n,) * d)
+            idx = np.column_stack((row[real], *tail, *rest[:, real]))
+            by_row = np.argsort(idx[:, 0], kind="stable")
+            assert np.array_equal(idx[by_row], A.idx)
+            assert np.array_equal(vals[real][by_row], A.vals)
+            empty = np.bincount(A.idx[:, 0], minlength=n) == 0
+            assert np.array_equal(rows == sum(w for _, w in groups), empty)
+
+    def test_padded_layout_groups_rows_by_length(self):
+        # Each (L, w) block holds w >= 2 columns whose entries come first and
+        # padding below; its longest column holds L entries, and every column
+        # of a row shares floor(log2 count), which falls from block to block.
+        for A in kernel_corpus():
+            if not A.nnz:
+                continue
+            _, _, vals, _, groups = swept_layouts(A)[1]._sweep_layout
+            at, levels = 0, []
+            for length, width in groups:
+                real = vals[at : at + length * width].reshape(length, width) > 0
+                held = real.sum(axis=0)
+                assert width >= 2 and held[0] == length
+                assert np.all(real[:-1] >= real[1:]) and np.all(held[:-1] >= held[1:])
+                level = set(np.frexp(held[held > 0])[1].tolist())
+                assert len(level) == 1
+                levels += level
+                at += length * width
+            assert at == len(vals) <= 2 * A.nnz
+            assert levels == sorted(levels, reverse=True) and len(set(levels)) == len(levels)
+
+    def test_one_row_group_is_summed_in_order(self):
+        # Row 1 holds 40 entries and the other rows 1 or 2, so row 1 is a
+        # group alone.  numpy sums an (L, 1) block pairwise, which for these
+        # terms rounds differently from bincount's sum in idx order; the
+        # padded layout sums two columns instead.
+        rng = np.random.default_rng(17)
+        tails = list(itertools.product(range(1, 8), repeat=2))[:40]
+        entries = {(1, *t): float(v) for t, v in zip(tails, rng.random(40))}
+        entries.update({(i, i, 1): 0.5 for i in range(2, 8)})
+        entries[(3, 2, 2)] = 0.25
+        A = NonnegativeTensor(TensorShape(3, 7), entries)
+        S = swept_layouts(A)[1]
+        assert S._sweep_layout[4][0] == (40, 2)
+        x = 10.0 ** rng.uniform(-8, 8, 7)
+        want = reference_apply(A, x)
+        row = A.idx[:, 0] == 0
+        terms = x[A.idx[row, 1]] * x[A.idx[row, 2]] * A.vals[row]
+        assert terms.reshape(40, 1).sum(axis=0)[0] != want[0]  # the pairwise sum
+        assert apply(S, x).tobytes() == want.tobytes()
+
+    def test_skewed_rows_pad_to_at_most_twice_nnz(self):
+        # One row holds 10^5 entries and every other row one: padding every
+        # row to the longest would take 400 * 10^5 slots.
+        n, big = 400, 100_000
+        tails = np.arange(big)
+        idx = np.column_stack((np.zeros(big, np.intp), tails // n, tails % n))
+        idx = np.concatenate((idx, np.column_stack((np.arange(1, n),) * 3)))
+        vals = np.random.default_rng(3).random(len(idx)) + 0.5
+        A = NonnegativeTensor._from_coo(TensorShape(3, n), *_checked_coo(n, idx + 1, vals))
+        S = swept(A)
+        assert A.nnz >= tensor_module._PADDED_MIN_NNZ
+        assert len(S._sweep_layout[0]) <= 2 * A.nnz
+        x = np.random.default_rng(4).random(n) + 0.1
+        assert apply(S, x).tobytes() == reference_apply(A, x).tobytes()
+
+    def test_swept_apply_copies_no_index(self):
+        # take copies a read-only index array on every call; the layouts are
+        # read-only, so one apply must gather by fancy indexing.  Its peak is
+        # then the product array, one index in size, and the table.  bincount
+        # also copies a read-only index: the rank-major rows, one more.
+        A = generate(GeneratorSpec((20, 20, 20), 1.3, 0.1, 1))
+        x = np.full(A.dim, 0.5)
+        for S, copies in zip(swept_layouts(A), (1, 0)):
+            fused = S._sweep_layout[0]
+            assert not fused.flags.writeable
+            apply(S, x)
+            tracemalloc.start()
+            try:
+                apply(S, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            bound = (1.5 + copies) * fused.nbytes
+            assert peak < bound, f"apply peaked at {peak} bytes, index {fused.nbytes}"
 
     def test_all_ones_tensor(self):
         A = all_ones_tensor(3, 2)
