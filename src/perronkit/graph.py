@@ -106,13 +106,37 @@ def _tail_condensation(A: NonnegativeTensor, mask: np.ndarray) -> np.ndarray:
     edge i -> j for every entry in ``mask`` with first index i and j in its tail.
 
     Over all entries this is the digraph of ``majorization(A)``, since stored
-    values are positive; no n-by-n array is built.
+    values are positive.  With k the number of entries in ``mask``, the edges
+    are marked in a boolean table of all n^2 of them when n^2 <= (m - 1) k,
+    so the table takes no more bytes than the (m - 1) k edge keys would;
+    otherwise the keys are sorted.  Either way memory is O(n + nnz), and a
+    large sparse input never builds an n-by-n array.
     """
-    n = A.dim
-    keys = (A.idx[mask, :1] * n + A.idx[mask, 1:]).ravel()
+    return _condense(A.dim, _tail_edges(A, mask))
+
+
+def _tail_edges(A: NonnegativeTensor, mask: np.ndarray) -> np.ndarray:
+    # The edges of _tail_condensation as sorted distinct keys i * n + j, built
+    # one column at a time; take's clip mode writes into out unbuffered.
+    # flatnonzero reads the table's keys back in order.  The gather indices
+    # and heads are freed before the sort, and the keys before the
+    # condensation, so neither peaks above the 2-D gathers they replaced.
+    n, (first, *tails) = A.dim, A.idx.T
+    at = np.flatnonzero(mask)
+    heads = first[at] * n
+    if n * n <= len(tails) * len(at):
+        table = np.zeros(n * n, dtype=bool)
+        for col in tails:
+            table[heads + col[at]] = True
+        return np.flatnonzero(table)
+    keys = np.empty((len(tails), len(at)), dtype=np.intp)
+    for j, col in enumerate(tails):
+        np.take(col, at, out=keys[j], mode="clip")
+        keys[j] += heads
+    del at, heads
+    keys = keys.ravel()
     keys.sort()
-    keys = _distinct(keys)  # drops the sorted copy before the condensation
-    return _condense(n, keys)
+    return _distinct(keys)
 
 
 def scc_condensation(M: np.ndarray) -> tuple[tuple[int, ...], ...]:

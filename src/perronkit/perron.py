@@ -216,8 +216,9 @@ def positive_perron_vector(
         # No entry leaves a genuine block and z_G never changes, so y_G is
         # final.  A_R holds the rows of R in A's order: each sweep gives y_R
         # the same bits a full apply would.
-        keep = np.isin(A.idx[:, 0], r_idx)
-        A_R = NonnegativeTensor._from_coo(A.shape, A.idx[keep], A.vals[keep], swept=True)
+        in_R = np.zeros(A.dim, dtype=bool)
+        in_R[r_idx] = True
+        A_R = A._keep(in_R[A.idx[:, 0]], swept=True)
     trace: list[IterationRecord] = []
     step_norm = np.inf if r_idx.size else 0.0
     while step_norm > cfg.tolerance:

@@ -91,17 +91,30 @@ def _plus_identity(B: NonnegativeTensor) -> NonnegativeTensor:
     # B + I as stored entries: 1.0 added to each stored diagonal, a unit entry
     # where a diagonal is missing.  Shifting inside apply this way rounds
     # differently from apply(B, x) + x**(m-1) and keeps the printed radii.
-    # B's rows are sorted.  Row i's entries whose first nonzero of tail - i is
-    # negative sort before (i, ..., i), so the key 2i + (lead >= 0) is sorted
-    # and a missing diagonal goes where 2i + 1 would.  The power method sweeps
-    # the result many times, so it carries a sweep layout.
-    idx = B.idx
-    offset = idx[:, 1:] - idx[:, :1]
-    lead = offset[np.arange(B.nnz), np.argmax(offset != 0, axis=1)]  # 0 on the diagonal
-    new = np.setdiff1d(np.arange(B.dim), idx[lead == 0, 0], assume_unique=True)
-    at = np.searchsorted(2 * idx[:, 0] + (lead >= 0), 2 * new + 1)
-    idx = np.insert(idx, at, new[:, None], axis=0)
-    vals = np.insert(B.vals + (lead == 0), at, 1.0)
+    # One pass over the tail columns, last to first, compares each entry's
+    # tail with (i, ..., i), i its row: diag where they are equal, after where
+    # the tail is not smaller.  B's rows are sorted, so 2i + after is sorted
+    # and a missing diagonal goes where 2i + 1 would.  The power method
+    # sweeps the result many times, so it carries a sweep layout.
+    rows = B.idx[:, 0]
+    diag, after = np.ones(B.nnz, dtype=bool), np.ones(B.nnz, dtype=bool)
+    for col in B.idx.T[:0:-1]:
+        same = col == rows
+        after = (col > rows) | (same & after)
+        diag &= same
+    has = np.zeros(B.dim, dtype=bool)
+    has[rows[diag]] = True
+    new = np.flatnonzero(~has)
+    at = np.searchsorted(2 * rows + after, 2 * new + 1) + np.arange(len(new))
+    old = np.ones(B.nnz + len(new), dtype=bool)  # the slots of B's entries
+    old[at] = False
+    idx = np.empty((len(old), B.order), dtype=np.intp, order="F")
+    for col, out in zip(B.idx.T, idx.T):
+        out[old] = col
+        out[at] = new
+    vals = np.empty(len(old))
+    vals[old] = B.vals + diag
+    vals[at] = 1.0
     return NonnegativeTensor._from_coo(B.shape, idx, vals, swept=True)
 
 
@@ -143,8 +156,10 @@ def _power_iteration(
     pos[perm] = np.arange(n)
     block_of = np.repeat(np.arange(r), sizes)[pos]
 
-    inside = (block_of[A.idx[:, 1:]] == block_of[A.idx[:, :1]]).all(axis=1)
-    D = NonnegativeTensor._from_coo(A.shape, A.idx[inside], A.vals[inside])
+    rows, inside = block_of[A.idx[:, 0]], np.ones(A.nnz, dtype=bool)
+    for col in A.idx.T[1:]:
+        inside &= block_of[col] == rows
+    D = A._keep(inside)
 
     # Closed form for 1x1 blocks: the row of D holds at most the diagonal entry.
     row_sums = np.bincount(D.idx[:, 0], weights=D.vals, minlength=n)

@@ -98,6 +98,16 @@ class NonnegativeTensor:
         A._set(shape, idx, vals, swept)
         return A
 
+    def _keep(self, mask: np.ndarray, swept: bool = False) -> NonnegativeTensor:
+        # The entries where mask holds, with swept as in _from_coo.  Each
+        # column is gathered into a Fortran array, so _set copies nothing;
+        # take's clip mode writes into it unbuffered, where raise would not.
+        at = np.flatnonzero(mask)
+        idx = np.empty((len(at), self.order), dtype=np.intp, order="F")
+        for col, out in zip(self.idx.T, idx.T):
+            np.take(col, at, out=out, mode="clip")
+        return NonnegativeTensor._from_coo(self.shape, idx, self.vals[at], swept)
+
     def _set(self, shape: TensorShape, idx, vals, swept: bool = False) -> None:
         # Contiguous columns speed up the partition's column reads and the
         # sweep layout's build more than the copy costs.
@@ -206,9 +216,13 @@ def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray,
     Rows that already strictly increase, as :func:`write_tensor` writes them,
     are neither sorted nor compared for duplicates: their order proves both.
     """
-    bad = np.argwhere((idx < 1) | (idx > n))
-    if len(bad):
-        r, c = bad[0]
+    base = np.subtract(idx, 1, order="F")  # the order _set keeps without a copy
+    # Made 0-based and read as unsigned, an index below 1 is at least 2^63,
+    # and intp.min wraps to intp.max >= n: every bad index fails one test on
+    # the contiguous copy.  Only then is the caller's (maybe strided) idx
+    # scanned, for the first bad index in row-major order.
+    if base.size and base.view(np.uintp).max() >= n:
+        r, c = np.argwhere((idx < 1) | (idx > n))[0]
         key = tuple(idx[r].tolist())
         raise ValueError(f"index {idx[r, c]} out of range [1, {n}] in tuple {key}")
     bad = np.flatnonzero(~np.isfinite(vals) | (vals < 0))
@@ -217,7 +231,7 @@ def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(
             f"entry {tuple(idx[r].tolist())} has invalid value {vals[r]}; must be finite and >= 0"
         )
-    idx = np.subtract(idx, 1, order="F")  # the order _set keeps without a copy
+    idx = base
     if not _increasing(n, idx):
         order = np.lexsort(idx.T[::-1])
         idx, vals = idx[order], vals[order]

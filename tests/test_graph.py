@@ -1,14 +1,18 @@
 """Majorization matrix, SCC condensation and irreducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+import perronkit.graph as graph
 from perronkit import (
     NonnegativeTensor,
     TensorShape,
+    canonical_partition,
     is_irreducible,
     majorization,
     principal_subtensor,
@@ -201,3 +205,74 @@ class TestIsIrreducible:
             n = int(rng.integers(1, 7))
             A = random_tensor(rng, m, n, nnz=int(rng.integers(1, 3 * n)))
             assert is_irreducible(majorization(A)) == entry_digraph_strongly_connected(A)
+
+
+def reference_tail_condensation(A: NonnegativeTensor, mask: np.ndarray) -> np.ndarray:
+    """Every edge key from 2-D gathers, sorted: the reference for both builds."""
+    n = A.dim
+    keys = np.sort((A.idx[mask, :1] * n + A.idx[mask, 1:]).ravel())
+    return graph._condense(n, graph._distinct(keys))
+
+
+class PathCounter:
+    """numpy, with a count of the edge builds: zeros for a table, empty for keys."""
+
+    def __init__(self):
+        self.calls = {"zeros": 0, "empty": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        self.calls["zeros"] += 1
+        return np.zeros(*args, **kwargs)
+
+    def empty(self, *args, **kwargs):
+        self.calls["empty"] += 1
+        return np.empty(*args, **kwargs)
+
+
+class TestTailCondensation:
+    def test_table_and_sort_match_the_key_sort(self, monkeypatch):
+        # Random orders 2-5 and masks on both sides of n^2 <= (m - 1) * entries:
+        # all, none, random, and the rows of half the vertices, which leaves
+        # the other half with no out-edge.
+        counter = PathCounter()
+        monkeypatch.setattr(graph, "np", counter)
+        rng = np.random.default_rng(30)
+        taken = set()
+        for _ in range(150):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(1, 13))
+            A = random_tensor(rng, m, n, nnz=int(rng.integers(0, 2 * n * n + 2)))
+            half = rng.random(n) < 0.5
+            masks = [
+                np.ones(A.nnz, dtype=bool),
+                np.zeros(A.nnz, dtype=bool),
+                rng.random(A.nnz) < rng.random(),
+                half[A.idx[:, 0]],
+            ]
+            for mask in masks:
+                table = n * n <= (m - 1) * int(mask.sum())
+                before = dict(counter.calls)
+                got = graph._tail_condensation(A, mask)
+                built = {k: counter.calls[k] - before[k] for k in before}
+                assert built == {"zeros": int(table), "empty": int(not table)}
+                taken.add(table)
+                assert np.array_equal(got, reference_tail_condensation(A, mask))
+        assert taken == {True, False}
+
+    def test_sparse_cycle_builds_no_square_table(self):
+        # At n = 20 000 a table of all n^2 edges would take 400 MB; the
+        # partition of this one-block cycle stays O(n + nnz).
+        n = 20_000
+        ring = np.arange(n)
+        idx = np.column_stack([ring, (ring + 1) % n, (ring + 1) % n])
+        A = NonnegativeTensor._from_coo(TensorShape(3, n), idx, np.ones(n))
+        tracemalloc.start()
+        try:
+            P = canonical_partition(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.blocks == (tuple(range(1, n + 1)),)
+        assert peak < 10e6, f"canonical_partition peaked at {peak / 1e6:.2f} MB"

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import perronkit.spectral as spectral
+import perronkit.tensor as tensor_module
 from perronkit import (
     GeneratorSpec,
     NonnegativeTensor,
@@ -298,13 +299,13 @@ class TestPowerMethod:
 
         rng = np.random.default_rng(17)
         corpus = []
-        for _ in range(20):
-            m, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
-            corpus.append(random_tensor(rng, m, n, nnz=int(rng.integers(0, 12))))
+        for _ in range(60):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(1, 41))
+            corpus.append(random_tensor(rng, m, n, nnz=int(rng.integers(0, 4 * n))))
         # Dense rows with some diagonals dropped, so that a missing diagonal
         # has stored entries both before and after it in its row.
-        for m in (2, 3, 4):
-            for n in range(2, 9):
+        for m, top in ((2, 40), (3, 12), (4, 7), (5, 5)):
+            for n in range(2, top + 1):
                 keys = itertools.product(range(1, n + 1), repeat=m)
                 entries = {key: float(1 - rng.random()) for key in keys if rng.random() < 0.4}
                 for i in rng.choice(np.arange(1, n + 1), size=n // 2, replace=False):
@@ -537,6 +538,31 @@ class TestBlockSpectra:
         finally:
             tracemalloc.stop()
         assert peak < 13e6, f"positive_perron_vector peaked at {peak / 1e6:.2f} MB"
+
+    def test_solve_derives_fortran_ordered_tensors(self, monkeypatch):
+        # D, B + I and A_R are built column by column, so _set's
+        # asfortranarray gets each idx already Fortran-ordered and copies none.
+        A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
+        seen = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def asfortranarray(self, a):
+                seen.append((len(a), a.flags.f_contiguous))
+                return np.asfortranarray(a)
+
+        monkeypatch.setattr(tensor_module, "np", Spy())
+        P = positive_perron_vector(A).classification.partition
+        block_of = np.empty(A.dim, dtype=np.intp)
+        for j, block in enumerate(P.blocks):
+            block_of[np.array(block) - 1] = j
+        labels = block_of[A.idx]
+        D = int((labels == labels[:, :1]).all(axis=1).sum())
+        diagonals = int((A.idx == A.idx[:, :1]).all(axis=1).sum())
+        rows_of_R = int((labels[:, 0] < P.s).sum())
+        assert seen == [(D, True), (D + A.dim - diagonals, True), (rows_of_R, True)]
 
     def test_block_order_matches_partition(self, four_blocks):
         P, spectra = block_spectra(four_blocks)

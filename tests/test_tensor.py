@@ -81,6 +81,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"\[1, 2\]"):
             NonnegativeTensor(TensorShape(2, 2), {(1, 3): 1.0})
 
+    def test_range_error_names_the_first_bad_index_in_row_order(self):
+        # A bad index late in an early row comes before one early in a later
+        # row, also when the rows arrive as a strided view, as from loadtxt.
+        rows = np.array([(1, 1, 7), (1, 2, 1), (0, 1, 1)], dtype=np.intp)
+        strided = np.zeros(3, dtype=[("i", np.intp, (3,)), ("v", np.float64)])
+        strided["i"] = rows
+        for idx in (rows, strided["i"]):
+            with pytest.raises(ValueError, match=r"^index 7 out of range \[1, 6\] in tuple \(1, 1, 7\)$"):
+                _checked_coo(6, idx, np.ones(3))
+        with pytest.raises(ValueError, match=r"^index 7 out of range \[1, 6\] in tuple \(1, 1, 7\)$"):
+            NonnegativeTensor(TensorShape(3, 6), {(1, 1, 7): 1.0, (0, 1, 1): 1.0})
+
+    @pytest.mark.parametrize("low", [0, -1, -(2**63)])
+    def test_index_below_one_is_out_of_range(self, low):
+        # Made 0-based, -2^63 wraps to the largest intp, still out of range.
+        with pytest.raises(ValueError, match=rf"^index {low} out of range \[1, 3\] in tuple \(1, {low}\)$"):
+            NonnegativeTensor(TensorShape(2, 3), {(1, low): 1.0})
+
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             NonnegativeTensor(TensorShape(3, 2), {(1, 1): 1.0})
@@ -140,6 +158,22 @@ class TestConstruction:
                 for array in (fused, rest, *rest, vals, rows):
                     with pytest.raises(ValueError):
                         array[...] = 0
+
+    def test_keep_matches_a_boolean_selection(self):
+        # _keep is _from_coo of the selected rows, with idx already Fortran-
+        # ordered and read-only: empty, full and random masks, swept or not.
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(1, 9))
+            A = random_tensor(rng, m, n, nnz=int(rng.integers(0, 3 * n)))
+            for mask in (np.zeros(A.nnz, bool), np.ones(A.nnz, bool), rng.random(A.nnz) < 0.5):
+                for flag in (False, True):
+                    K = A._keep(mask, swept=flag)
+                    expected = NonnegativeTensor._from_coo(A.shape, A.idx[mask], A.vals[mask])
+                    assert K == expected and K._swept is flag
+                    assert K.idx.flags.f_contiguous and K.idx.shape == (int(mask.sum()), m)
+                    for array in (K.idx, K.vals):
+                        assert not array.flags.writeable
 
     @pytest.mark.parametrize("n", [3, 3_000_000])
     def test_checked_rows_match_a_python_sort(self, n):
