@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import PowerMethodConfig, _power_iteration
-from .tensor import NonnegativeTensor, TensorShape, _check_integer, _checked_coo
+from .tensor import NonnegativeTensor, TensorShape, _check_integer
 
 __all__ = ["GeneratorSpec", "generate", "generate_not_strong"]
 
@@ -38,7 +38,7 @@ class GeneratorSpec:
             raise ValueError("rt must be finite and > 1")
         if not 0 < self.den <= 1:
             raise ValueError("den must lie in (0, 1]")
-        _check_integer("seed", self.seed, 0)
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
 
 
 def _block_ranges(sizes: tuple[int, ...]) -> list[range]:
@@ -93,13 +93,12 @@ def generate(spec: GeneratorSpec) -> NonnegativeTensor:
         coupling_vals.append(1.0 - rng.random(len(chosen)))
 
     # A row's couplings have later tails than its diagonal block's entries,
-    # so each goes after its row's last diagonal entry, in drawing order,
-    # and the rows stay in lexicographic order: nothing needs a sort.
+    # so each goes after its row's last diagonal entry, in drawing order: the
+    # rows stay in lexicographic order, in range and positive, with no sort or check.
     couplings = np.concatenate(coupling_idx)
     at = np.searchsorted(tensor.idx[:, 0], couplings[:, 0], side="right")
     idx = np.insert(tensor.idx, at, couplings, axis=0)
     vals = np.insert(np.concatenate(val_parts), at, np.concatenate(coupling_vals))
-    idx, vals = _checked_coo(n, idx + 1, vals)
     return NonnegativeTensor._from_coo(shape, idx, vals)
 
 

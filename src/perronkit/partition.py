@@ -29,8 +29,7 @@ class CanonicalPartition:
     s: int
 
     def __post_init__(self) -> None:
-        _check_integer("s", self.s)
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "s", _check_integer("s", self.s))
         if not 0 <= self.s < len(self.blocks):
             raise ValueError(f"s = {self.s} outside [0, {len(self.blocks)})")
 
@@ -102,15 +101,14 @@ def verify_partition(A: NonnegativeTensor, P: CanonicalPartition) -> bool:
     are nonempty, strictly increasing integer tuples that partition [1, n].
     """
     n, sizes = A.dim, [len(block) for block in P.blocks]
-    for i in P.sigma:
-        _check_integer("block index", i, 1)
-    if sorted(P.sigma) != list(range(1, n + 1)) or not all(sizes):
+    sigma = [_check_integer("block index", i, 1) for i in P.sigma]
+    if sorted(sigma) != list(range(1, n + 1)) or not all(sizes):
         raise ValueError("blocks do not partition [1, n]")
     for block in P.blocks:
         if list(block) != sorted(block):
             raise ValueError(f"index set {tuple(map(int, block))} must be strictly increasing")
     block_of = np.empty(n, dtype=np.intp)
-    block_of[np.array(P.sigma, dtype=np.intp) - 1] = np.repeat(np.arange(P.r), sizes)
+    block_of[np.array(sigma, dtype=np.intp) - 1] = np.repeat(np.arange(P.r), sizes)
     row_block = block_of[A.idx[:, 0]]
     tail_blocks = block_of[A.idx[:, 1:]]
     # The in-block digraph has no edge between blocks, so its strong

@@ -46,7 +46,8 @@ class FixedPointConfig:
             raise ValueError("gamma, tolerance and rho_equality_tol must be finite and positive")
         if not self.rho_equality_tol < 1:
             raise ValueError("rho_equality_tol must be below 1")
-        _check_integer("max_iterations", self.max_iterations, 1)
+        budget = _check_integer("max_iterations", self.max_iterations, 1)
+        object.__setattr__(self, "max_iterations", budget)
 
 
 class Outcome(enum.Enum):

@@ -44,7 +44,8 @@ class PowerMethodConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be finite and positive")
-        _check_integer("max_iterations", self.max_iterations, 1)
+        budget = _check_integer("max_iterations", self.max_iterations, 1)
+        object.__setattr__(self, "max_iterations", budget)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,11 +40,8 @@ class TensorShape:
     dim: int
 
     def __post_init__(self) -> None:
-        _check_integer("tensor order", self.order, 2)
-        _check_integer("tensor dimension", self.dim, 1)
-        # Plain ints: in a numpy integer such as uint8, n * n would wrap around.
-        object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "order", _check_integer("tensor order", self.order, 2))
+        object.__setattr__(self, "dim", _check_integer("tensor dimension", self.dim, 1))
         limit = np.iinfo(np.intp).max  # indices and array shapes are intp
         if max(self.order, self.dim) > limit:
             raise ValueError(
@@ -191,12 +188,14 @@ def _int_indices(values: Iterable) -> np.ndarray:
     return a.astype(np.intp)
 
 
-def _check_integer(name: str, value, low: float = -math.inf) -> None:
-    # An integer setting is a Python or numpy integer, not a bool, and >= low.
+def _check_integer(name: str, value, low: float = -math.inf) -> int:
+    # An integer setting is a Python or numpy integer, not a bool, and >= low.  It is
+    # stored as the int returned: in a numpy integer n * n or max_iterations + 1 could wrap.
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 def _index_set(I: Iterable, n: int) -> np.ndarray:

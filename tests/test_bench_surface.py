@@ -45,6 +45,22 @@ def test_every_wrapped_name_resolves():
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
 
 
+def test_every_unused_import_is_a_wrapped_name():
+    # An import kept only for the tracer (marked "# noqa: F401") must name a
+    # wrap; once the tracer stops wrapping it, the import is dead code.
+    wrapped = {(modname, attr) for modname, attr, _, _ in load_spans().WRAPS}
+    kept = []
+    for path in sorted((BENCH.parent / "src" / "perronkit").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.end_lineno - 1]:
+                kept += [(f"perronkit.{path.stem}", alias.asname or alias.name) for alias in node.names]
+    assert kept
+    for pair in kept:
+        assert pair in wrapped, pair
+
+
 def test_every_imported_name_resolves():
     imports = [
         (path.name, node.module, alias.name)

@@ -87,15 +87,21 @@ class TestGenerate:
     @pytest.mark.parametrize("sizes", [(4,), (2, 3), (3, 1, 4, 5)])
     def test_rows_come_out_sorted_with_no_sort(self, monkeypatch, sizes):
         # Each row's couplings follow its diagonal entries, so the rows are
-        # in lexicographic order as drawn and the checks never lexsort them.
+        # in lexicographic order as drawn.  _from_coo trusts that order, and
+        # the rows, range and values it takes pass the input check unchanged.
+        checked = tensor._checked_coo
+
         def no_lexsort(keys):
             raise AssertionError("generate sorted its rows")
 
         monkeypatch.setattr(np, "lexsort", no_lexsort)
         for seed in range(4):
-            A = generate(GeneratorSpec(sizes, rt=1.5, den=0.3, seed=seed))
-            rows = A.idx.tolist()
-            assert rows == sorted(rows)
+            for build in (generate, generate_not_strong) if len(sizes) > 1 else (generate,):
+                A = build(GeneratorSpec(sizes, rt=1.5, den=0.3, seed=seed))
+                rows = A.idx.tolist()
+                assert all(a < b for a, b in zip(rows, rows[1:]))
+                idx, vals = checked(A.dim, A.idx + 1, A.vals)
+                assert idx.tobytes() == A.idx.tobytes() and vals.tobytes() == A.vals.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -128,6 +134,7 @@ class TestGenerate:
 
     def test_numpy_integer_seed_accepted(self):
         spec = GeneratorSpec(block_sizes=(2, 3), rt=2.0, den=0.5, seed=np.uint8(3))
+        assert type(spec.seed) is int
         assert generate(spec) == generate(GeneratorSpec((2, 3), 2.0, 0.5, 3))
 
     @pytest.mark.parametrize("rt", [float("inf"), float("nan")])
@@ -139,6 +146,21 @@ class TestGenerate:
         # A finite rt whose rescale of the genuine block overflows to inf.
         with pytest.raises(ValueError, match="overflows the genuine block"):
             generate(GeneratorSpec(block_sizes=(2, 3), rt=1e308, den=0.1, seed=0))
+
+
+@pytest.mark.parametrize("build", [generate, generate_not_strong])
+def test_rows_go_to_the_tensor_unchecked(monkeypatch, build):
+    # The generator builds its rows ordered, in range and positive, so it
+    # hands them to _from_coo with no input check and no sort.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the generator checked or sorted its own rows")
+
+    monkeypatch.setattr(tensor, "_checked_coo", forbidden)
+    monkeypatch.setattr(generator, "_checked_coo", forbidden, raising=False)
+    monkeypatch.setattr(np, "lexsort", forbidden)
+    for seed in range(4):
+        A = build(GeneratorSpec(block_sizes=(3, 1, 4, 5), rt=1.5, den=0.3, seed=seed))
+        assert A.nnz >= 3**3 + 1 + 4**3 + 5**3  # the dense diagonal blocks
 
 
 @pytest.mark.parametrize("build, passes", [(generate, 1), (generate_not_strong, 2)])

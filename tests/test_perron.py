@@ -54,6 +54,9 @@ class TestFixedPointConfig:
         with pytest.raises(ValueError, match=next(iter(setting))):
             FixedPointConfig(**setting)
 
+    def test_stores_a_numpy_budget_as_int(self):
+        assert type(FixedPointConfig(max_iterations=np.int8(127)).max_iterations) is int
+
 
 class TestClassify:
     def test_four_block_fixture_is_strong(self, four_blocks):

@@ -342,6 +342,20 @@ class TestPowerMethodConfig:
         with pytest.raises(ValueError, match=next(iter(setting))):
             PowerMethodConfig(**setting)
 
+    @pytest.mark.parametrize("budget", [np.int8(127), np.uint8(255), np.int64(2**63 - 1)], ids=repr)
+    def test_numpy_budget_runs_as_its_int(self, four_blocks, budget):
+        # Kept as a numpy integer, the budget's max_iterations + 1 wrapped
+        # negative, no sweep ran and every block raised ZeroIterate.
+        cfg, int_cfg = PowerMethodConfig(max_iterations=budget), PowerMethodConfig(max_iterations=int(budget))
+        assert type(cfg.max_iterations) is int
+        P, spectra = block_spectra(four_blocks, cfg)
+        want_P, want = block_spectra(four_blocks, int_cfg)
+        assert P == want_P and len(spectra) == len(want) == 4
+        for got, ref in zip(spectra, want):
+            assert_same_spectrum(got, ref)
+        B = principal_subtensor(four_blocks, P.blocks[-1])
+        assert_same_spectrum(power_method(B, cfg), power_method(B, int_cfg))
+
 
 class TestCollatzWielandt:
     def test_eigenvector_collapses_bracket(self):

@@ -65,6 +65,13 @@ class TestConstruction:
         A = NonnegativeTensor(shape, {(i, i % 20 + 1): 1.0 for i in range(1, 21)})
         assert majorization(A).shape == (20, 20)
 
+    def test_equality_with_another_type_is_false(self, four_blocks):
+        assert (four_blocks == 3) is False
+        assert (four_blocks != "x") is True
+
+    def test_repr_names_order_dim_and_nnz(self, four_blocks):
+        assert repr(four_blocks) == "NonnegativeTensor(order=3, dim=8, nnz=53)"
+
     def test_zero_entries_dropped(self):
         A = NonnegativeTensor(TensorShape(2, 2), {(1, 1): 0.0, (1, 2): 2.0})
         assert A.entries == {(1, 2): 2.0}
