@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import PowerMethodConfig, _power_iteration
-from .tensor import NonnegativeTensor, TensorShape, _check_integer
+from .tensor import NonnegativeTensor, TensorShape, _check_integer, _check_real
 
 __all__ = ["GeneratorSpec", "generate", "generate_not_strong"]
 
@@ -34,6 +34,8 @@ class GeneratorSpec:
         if not sizes or not integer or any(b < 1 for b in sizes):
             raise ValueError("block_sizes must be a nonempty list of positive integers")
         object.__setattr__(self, "block_sizes", tuple(int(b) for b in sizes))
+        object.__setattr__(self, "rt", _check_real("rt", self.rt))
+        object.__setattr__(self, "den", _check_real("den", self.den))
         if not 1 < self.rt < np.inf:
             raise ValueError("rt must be finite and > 1")
         if not 0 < self.den <= 1:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .partition import CanonicalPartition
 from .spectral import BlockSpectrum, NotConverged, PowerMethodConfig, block_spectra
-from .tensor import NonnegativeTensor, _check_integer, apply
+from .tensor import NonnegativeTensor, _check_integer, _check_real, apply
 
 __all__ = [
     "FixedPointConfig",
@@ -42,6 +42,8 @@ class FixedPointConfig:
     rho_equality_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("gamma", "tolerance", "rho_equality_tol"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not all(0 < v < np.inf for v in (self.gamma, self.tolerance, self.rho_equality_tol)):
             raise ValueError("gamma, tolerance and rho_equality_tol must be finite and positive")
         if not self.rho_equality_tol < 1:
@@ -208,10 +210,13 @@ def positive_perron_vector(
     lam, m = cls.lam, A.order
     exponent = 1.0 / (m - 1)
 
+    # One scatter of the block vectors, non-genuine ones times gamma (x * 1.0 is x).
+    sigma = np.array(P.sigma, dtype=np.intp) - 1
+    sizes = [len(block) for block in P.blocks]
+    factors = np.repeat(np.where(P.genuine, 1.0, cfg.gamma), sizes)
     z = np.zeros(A.dim)
-    for block, sp, g in zip(P.blocks, cls.block_spectra, P.genuine):
-        z[np.array(block, dtype=np.intp) - 1] = sp.vector if g else cfg.gamma * sp.vector
-    r_idx = np.array([i - 1 for block in P.blocks[: P.s] for i in block], dtype=np.intp)
+    z[sigma] = np.concatenate([sp.vector for sp in cls.block_spectra]) * factors
+    r_idx = sigma[: sum(sizes[: P.s])]
     y = apply(A, z)
     if r_idx.size:
         # No entry leaves a genuine block and z_G never changes, so y_G is

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import CanonicalPartition, canonical_partition
-from .tensor import NonnegativeTensor, _check_integer, apply
+from .tensor import NonnegativeTensor, _check_integer, _check_real, apply
 from .tensor import principal_subtensor  # noqa: F401  (the benchmark's tracer wraps this name)
 
 __all__ = [
@@ -42,6 +42,7 @@ class PowerMethodConfig:
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tolerance", _check_real("tolerance", self.tolerance))
         if not 0 < self.tolerance < np.inf:
             raise ValueError("tolerance must be finite and positive")
         budget = _check_integer("max_iterations", self.max_iterations, 1)
@@ -138,7 +139,8 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
     return _power_iteration(B, (tuple(range(1, B.dim + 1)),), cfg or PowerMethodConfig())[0]
 
 
-@np.errstate(over="ignore")  # an overflow makes a bracket inf, which raises below
+# An inf bracket raises below; a lost block's row may normalise to 0/0, and is restored.
+@np.errstate(over="ignore", invalid="ignore")
 def _power_iteration(
     A: NonnegativeTensor, blocks: Sequence[Sequence[int]], cfg: PowerMethodConfig
 ) -> list[BlockSpectrum]:
@@ -147,10 +149,15 @@ def _power_iteration(
     # one apply on the whole vector advances every block.  D keeps A's labels:
     # within a row its entries come in the order the block's own sub-tensor
     # has them (blocks are increasing), so each block sees the same arithmetic
-    # as when iterated alone.  Vectors are held in block order, so a block is
-    # one slice; a block that meets the tolerance is frozen.
+    # as when iterated alone.  The vector holds the blocks stably sorted by
+    # width, so each width's blocks form one C-ordered (count, width) slab that
+    # one row sum normalises: numpy sums each row as it sums a lone slice.  A
+    # block that meets the tolerance is frozen.  Blocks are numbered in that
+    # layout until the results go back to block order at the end.
     m, n, r = A.order, A.dim, len(blocks)
     sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+    order = np.argsort(sizes, kind="stable")  # the block at each place of the layout
+    blocks, sizes = [blocks[j] for j in order], sizes[order]
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     perm = np.concatenate(blocks).astype(np.intp) - 1  # original index at each position
     pos = np.empty(n, dtype=np.intp)
@@ -167,8 +174,11 @@ def _power_iteration(
 
     D = _plus_identity(D)
     exponent = 1.0 / (m - 1)
-    floor = 8 * np.finfo(np.float64).eps  # times alpha, the stop's rounding floor
+    tol, floor = cfg.tolerance, 8 * np.finfo(np.float64).eps  # floor * alpha: rounding floor
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
+    width, first = np.unique(sizes, return_index=True)
+    edges = np.append(starts[first], n).tolist()
+    slabs = [(lo, hi, w) for lo, hi, w in zip(edges, edges[1:], width.tolist()) if w > 1]
     active = [j for j in range(r) if sizes[j] > 1]
     frozen = np.repeat(sizes == 1, sizes)
     x = np.repeat(1.0 / sizes, sizes)  # 1.0 for a 1x1 block, and never swept
@@ -182,27 +192,30 @@ def _power_iteration(
         if not active:
             break
         y = apply(D, x[pos])[perm]
-        lost = np.logical_or.reduceat(y <= 0, starts).tolist()
-        ratios = np.divide(y, x ** (m - 1), out=np.zeros(n), where=y > 0)  # no 0/0 if lost
+        # A ratio is 0 where y <= 0, and >= y > 0 elsewhere (x <= 1), so a
+        # block lost positivity exactly when its beta is 0.
+        ratios = np.divide(y, x ** (m - 1), out=np.zeros(n), where=y > 0)
         alphas = np.maximum.reduceat(ratios, starts).tolist()
         betas = np.minimum.reduceat(ratios, starts).tolist()
-        x_new = np.where(frozen, x, y**exponent)
+        x_new = y**exponent
+        for lo, hi, w in slabs:
+            slab = x_new[lo:hi].reshape(-1, w)
+            slab /= np.add.reduce(slab, axis=1, keepdims=True)
+        x_new = np.where(frozen, x, x_new)
         still = []
         for j in active:
             lo, hi = bounds[j]
-            if lost[j]:  # keep its last positive iterate; it raises at the end
+            alpha, beta = alphas[j], betas[j]
+            if beta == 0:  # keep its last positive iterate; it raises at the end
                 best.pop(j, None)
                 frozen[lo:hi] = True
                 x_new[lo:hi] = x[lo:hi]
                 continue
-            alpha, beta = alphas[j], betas[j]
             if not alpha < np.inf:
                 raise ValueError("spectral radius overflowed float64 in the power method")
             traces[j].append((alpha - 1.0, beta - 1.0))
-            seg = x_new[lo:hi]
-            seg /= seg.sum()
             gap = alpha - beta
-            met = gap <= max(cfg.tolerance, floor * alpha)
+            met = gap <= tol or gap <= floor * alpha
             if j not in best or gap < best[j][1] or met:
                 best[j] = ((alpha + beta) / 2 - 1.0, gap, x_new, k)  # a fresh x_new each sweep
             if met:
@@ -214,12 +227,13 @@ def _power_iteration(
 
     # Report the first failed block in block order, as a block-by-block run would.
     spectra, unmet = [], set(active)
-    for j, (lo, hi) in enumerate(bounds):
+    for j in np.argsort(order).tolist():
         if j not in best:
             raise ZeroIterate(
                 "power method iterate lost positivity (underflow, or input not weakly irreducible)"
             )
         rho, gap, x_best, k = best[j]
+        lo, hi = bounds[j]
         spectra.append(BlockSpectrum(rho, x_best[lo:hi].copy(), k, gap, tuple(traces[j])))
         if j in unmet:
             raise NotConverged(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,6 +197,17 @@ def _check_integer(name: str, value, low: float = -math.inf) -> int:
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    # A real setting is a real number, not a bool, stored as the float returned;
+    # the caller checks its range, so an int beyond float64's range becomes inf.
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _index_set(I: Iterable, n: int) -> np.ndarray:

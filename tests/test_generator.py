@@ -142,6 +142,24 @@ class TestGenerate:
         with pytest.raises(ValueError, match="rt must be finite"):
             GeneratorSpec(block_sizes=(2, 3), rt=rt, den=0.1, seed=0)
 
+    @pytest.mark.parametrize("field", ["rt", "den"])
+    @pytest.mark.parametrize("value", ["2", None, True, np.True_], ids=repr)
+    def test_rt_and_den_must_be_real_numbers(self, field, value):
+        # Checked before the range check, whose < a string or None would fail
+        # with TypeError, and which a den of True would pass as 1.
+        settings = {"rt": 2.0, "den": 0.5, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            GeneratorSpec(block_sizes=(2, 3), seed=0, **settings)
+
+    def test_stores_rt_and_den_as_float(self):
+        spec = GeneratorSpec(block_sizes=(2, 3), rt=2, den=np.float32(0.5), seed=3)
+        assert type(spec.rt) is float and type(spec.den) is float
+        assert generate(spec) == generate(GeneratorSpec((2, 3), 2.0, 0.5, 3))
+
+    def test_huge_integer_rt_fails_the_range_check(self):
+        with pytest.raises(ValueError, match="rt must be finite"):
+            GeneratorSpec(block_sizes=(2, 3), rt=10**400, den=0.5, seed=0)
+
     def test_overflowing_rt_raises(self):
         # A finite rt whose rescale of the genuine block overflows to inf.
         with pytest.raises(ValueError, match="overflows the genuine block"):

@@ -57,6 +57,24 @@ class TestFixedPointConfig:
     def test_stores_a_numpy_budget_as_int(self):
         assert type(FixedPointConfig(max_iterations=np.int8(127)).max_iterations) is int
 
+    @pytest.mark.parametrize("field", ["gamma", "tolerance", "rho_equality_tol"])
+    @pytest.mark.parametrize("value", [None, "1e-3", True, np.True_], ids=repr)
+    def test_float_settings_must_be_real_numbers(self, field, value):
+        # Checked before the range check, whose < a string or None would fail
+        # with TypeError, and which True would pass as 1.
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            FixedPointConfig(**{field: value})
+
+    def test_stores_real_settings_as_float(self):
+        cfg = FixedPointConfig(gamma=1, tolerance=np.float32(0.25), rho_equality_tol=np.float64(0.5))
+        assert (cfg.gamma, cfg.tolerance, cfg.rho_equality_tol) == (1.0, 0.25, 0.5)
+        assert all(type(v) is float for v in (cfg.gamma, cfg.tolerance, cfg.rho_equality_tol))
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["huge", "-huge"])
+    def test_huge_integer_gamma_fails_the_range_check(self, value):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            FixedPointConfig(gamma=value)
+
 
 class TestClassify:
     def test_four_block_fixture_is_strong(self, four_blocks):

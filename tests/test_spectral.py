@@ -132,6 +132,13 @@ def reference_corpus():
     yield pytest.param(
         chained_blocks(5, 4, (2, 3, 1, 4)), PowerMethodConfig(tolerance=1e-12), id="order-4"
     )
+    # Blocks of one width that are not adjacent share a slab of the power
+    # method's layout; widths 9, 17 and 130 cross numpy's 8-term unrolled sum
+    # and its 128-term pairwise split.  (At seed 8 a 3-wide block needs 67
+    # sweeps at tolerance 1e-300, beyond the rounding-floor test's 60.)
+    slabs = chained_blocks(10, 2, (9, 3, 130, 1, 9, 3, 130))
+    yield pytest.param(slabs, PowerMethodConfig(), id="slabs-order-2")
+    yield pytest.param(chained_blocks(9, 3, (2, 9, 2, 17, 9)), PowerMethodConfig(), id="slabs-order-3")
 
 
 def budget_corpus():
@@ -342,6 +349,22 @@ class TestPowerMethodConfig:
         with pytest.raises(ValueError, match=next(iter(setting))):
             PowerMethodConfig(**setting)
 
+    @pytest.mark.parametrize("tolerance", ["1e-3", None, True, np.True_, 1j], ids=repr)
+    def test_tolerance_must_be_a_real_number(self, tolerance):
+        # Checked before the range check, whose < a string or None would fail
+        # with TypeError, and which True would pass as 1.
+        with pytest.raises(ValueError, match="tolerance must be a real number"):
+            PowerMethodConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [np.float32(0.25), np.int64(1), 1, 0.25], ids=repr)
+    def test_stores_a_real_tolerance_as_float(self, tolerance):
+        cfg = PowerMethodConfig(tolerance=tolerance)
+        assert type(cfg.tolerance) is float and cfg.tolerance == tolerance
+
+    def test_huge_integer_tolerance_fails_the_range_check(self):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            PowerMethodConfig(tolerance=10**400)
+
     @pytest.mark.parametrize("budget", [np.int8(127), np.uint8(255), np.int64(2**63 - 1)], ids=repr)
     def test_numpy_budget_runs_as_its_int(self, four_blocks, budget):
         # Kept as a numpy integer, the budget's max_iterations + 1 wrapped
@@ -513,6 +536,30 @@ class TestBlockSpectra:
         iterations = [sp.iterations for sp in spectra]
         assert calls["principal_subtensor"] == 0
         assert calls["apply"] == max(iterations) < sum(iterations)
+
+    def test_one_row_sum_per_width_per_sweep(self, monkeypatch):
+        # Blocks are normalised a width at a time, so the sums per sweep count
+        # the distinct widths above 1 (2, 3 and 10 here), not the 31 blocks.
+        A = generate(GeneratorSpec((2, 3) * 10 + (1, 1, 3, 2, 2, 1, 2, 2, 3, 1) + (10,), 1.3, 0.1, 2))
+        sums = []
+
+        class Add:
+            def reduce(self, *args, **kwargs):
+                sums.append(args[0].shape)
+                return np.add.reduce(*args, **kwargs)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(spectral, "np", Numpy())
+        P, spectra = block_spectra(A)
+        assert len(P.blocks) == 31
+        sweeps = max(sp.iterations for sp in spectra)
+        assert sorted(set(sums)) == [(1, 10), (12, 3), (14, 2)]
+        assert len(sums) == 3 * sweeps
 
     def test_overflowed_bracket_raises_at_first_sweep(self, monkeypatch):
         # The overflowing block comes second, after a block that converges.
