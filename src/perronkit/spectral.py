@@ -192,9 +192,10 @@ def _power_iteration(
         if not active:
             break
         y = apply(D, x[pos])[perm]
-        # A ratio is 0 where y <= 0, and >= y > 0 elsewhere (x <= 1), so a
-        # block lost positivity exactly when its beta is 0.
-        ratios = np.divide(y, x ** (m - 1), out=np.zeros(n), where=y > 0)
+        # y >= 0 and x <= 1, so a ratio is 0 where y is 0 or x^(m-1) underflows
+        # to 0, and >= y > 0 elsewhere: a block lost positivity exactly when its beta is 0.
+        xm = x ** (m - 1)
+        ratios = np.divide(y, xm, out=np.zeros(n), where=xm > 0)
         alphas = np.maximum.reduceat(ratios, starts).tolist()
         betas = np.minimum.reduceat(ratios, starts).tolist()
         x_new = y**exponent

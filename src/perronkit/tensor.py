@@ -449,9 +449,7 @@ def read_tensor(path) -> NonnegativeTensor:
         pass
     # The line scan defines the format: it names the bad line, or reads the
     # rare valid syntax numpy does not parse, such as a value written 1_0.
-    text = raw.decode("ascii")
-    del raw  # the bytes go before the scan's lines come
-    return _scan_tensor(text)
+    return _scan_tensor(raw)
 
 
 def _header(lines: Iterable[str]) -> tuple[TensorShape, int]:
@@ -491,11 +489,10 @@ def _parse_tensor(raw: bytes) -> NonnegativeTensor:
     return NonnegativeTensor._from_coo(shape, *_checked_coo(shape.dim, rows["i"], rows["v"]))
 
 
-def _scan_tensor(raw: str) -> NonnegativeTensor:
-    # The reference reader: one line at a time, so every error names its line.
-    lines = raw.splitlines()
+def _scan_tensor(raw: bytes) -> NonnegativeTensor:
+    # The reference reader: one line of "\n"-only ASCII at a time, so every error names its line.
+    lines = map(bytes.decode, io.BytesIO(raw))
     shape, start = _header(lines)
-    del lines[:start]
     entries: dict[tuple[int, ...], float] = {}
     for lineno, line in enumerate(lines, start=start + 1):
         tokens = line.split()

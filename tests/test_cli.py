@@ -337,6 +337,20 @@ class TestErrorHandling:
         assert proc.stderr.startswith("perronkit: power method iterate lost positivity")
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
 
+    def test_underflowed_power_exits_1_without_traceback(self, tmp_path):
+        # A normalisation underflows an iterate component to 0; its next image is positive.
+        tiny = tmp_path / "power.tns"
+        tiny.write_text("2 2\n1 1 1e300\n1 2 1e-300\n2 1 1e-300\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "perronkit.cli", "radius", str(tiny)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("perronkit: power method iterate lost positivity")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+
     def test_overflowing_fixed_point_update_exits_1(self, tmp_path):
         # z1 = 2e154 is finite, but y_1 = A z^2 overflows before its root is taken.
         big = tmp_path / "update.tns"

@@ -301,6 +301,14 @@ class TestPowerMethod:
             with pytest.raises(ZeroIterate):
                 power_method(A, PowerMethodConfig(max_iterations=sweeps))
 
+    def test_zero_iterate_when_a_power_underflows(self):
+        # Irreducible, radius ~1e300: the second sweep normalises component 2
+        # to 2e-300 / 1e300, which underflows to 0.  The third sweep's y_2 is
+        # positive, yet its ratio is 0 and the block is lost, not y_2 / 0 read as an overflow.
+        A = NonnegativeTensor(TensorShape(2, 2), {(1, 1): 1e300, (1, 2): 1e-300, (2, 1): 1e-300})
+        with pytest.raises(ZeroIterate):
+            power_method(A)
+
     def test_shift_adds_identity_entrywise(self):
         from perronkit.spectral import _plus_identity
 
