@@ -53,15 +53,15 @@ class PowerMethodConfig:
 class BlockSpectrum:
     """Spectral radius and unit-1-norm positive Perron vector of one block.
 
-    ``trace`` records the Collatz-Wielandt bracket (alpha, beta) at every
-    iterate, shift already removed; ``gap`` is the final alpha - beta.
+    ``bracket`` is the Collatz-Wielandt bracket (alpha, beta), shift removed, of
+    sweep ``iterations``, and ``gap`` its alpha - beta; a 1x1 block has (rho, rho).
     """
 
     rho: float
     vector: np.ndarray
     iterations: int
     gap: float
-    trace: tuple[tuple[float, float], ...] = ()
+    bracket: tuple[float, float]
 
 
 class NotConverged(Exception):
@@ -76,16 +76,21 @@ class ZeroIterate(Exception):
     """An iterate component hit 0: it underflowed, or the input is not weakly irreducible."""
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # both raise below
 def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]:
     """Collatz-Wielandt bounds (alpha, beta) of A at a positive vector x.
 
     alpha and beta are the max and min over i of the ratios
-    ``(A x^{m-1})_i / x_i^{m-1}``; they bracket the spectral radius.
+    ``(A x^{m-1})_i / x_i^{m-1}``; they bracket the spectral radius.  Raises
+    ValueError when a power x_i^{m-1} underflows to 0 or a ratio overflows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.dim,) or not np.all((0 < x) & (x < np.inf)):
         raise ValueError("collatz_wielandt needs a finite positive vector of matching dimension")
-    ratios = apply(A, x) / x ** (A.order - 1)
+    xm = x ** (A.order - 1)
+    ratios = apply(A, x) / xm
+    if not np.all(ratios < np.inf):  # inf or nan: over an underflowed power, or an overflow
+        raise ValueError("x**(m-1) underflowed" if not xm.all() else "a ratio overflowed float64")
     return float(ratios.max()), float(ratios.min())
 
 
@@ -126,15 +131,15 @@ def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> 
     Iterates ``x <- normalize((A x^{m-1})^{[1/(m-1)]})`` from the uniform
     positive vector, where A is B plus the identity tensor, and stops once
     the Collatz-Wielandt gap alpha - beta meets the configured stop.  The
-    radius is reported as the midpoint of the final bracket, shift removed.
+    result keeps that final ``bracket``, shift removed, and its midpoint as rho.
     One-dimensional inputs are solved in closed form: the radius is the
     single diagonal entry (zero if absent) and the vector is 1.
     This is the one-block case of the iteration :func:`block_spectra` runs.
 
-    Raises :class:`NotConverged` when the iteration budget runs out (the best
-    iterate rides along in the exception), :class:`ZeroIterate` if a component
-    of an iterate underflows to 0 or the input is not weakly irreducible,
-    and ValueError at the first sweep whose bracket overflows.
+    Raises :class:`NotConverged` when the budget runs out (its ``best`` is
+    the sweep with the smallest gap, bracket included), :class:`ZeroIterate`
+    if a component of an iterate underflows to 0 or the input is not weakly
+    irreducible, and ValueError at the first sweep whose bracket overflows.
     """
     return _power_iteration(B, (tuple(range(1, B.dim + 1)),), cfg or PowerMethodConfig())[0]
 
@@ -170,7 +175,7 @@ def _power_iteration(
     D = A._keep(inside)
 
     # Closed form for 1x1 blocks: the row of D holds at most the diagonal entry.
-    row_sums = np.bincount(D.idx[:, 0], weights=D.vals, minlength=n)
+    rho1 = np.bincount(D.idx[:, 0], weights=D.vals, minlength=n)[perm[starts]].tolist()
 
     D = _plus_identity(D)
     exponent = 1.0 / (m - 1)
@@ -182,11 +187,10 @@ def _power_iteration(
     active = [j for j in range(r) if sizes[j] > 1]
     frozen = np.repeat(sizes == 1, sizes)
     x = np.repeat(1.0 / sizes, sizes)  # 1.0 for a 1x1 block, and never swept
-    traces: list[list[tuple[float, float]]] = [[] for _ in range(r)]
-    # Each block's record (rho, gap, iterate, sweep) at its smallest gap so far:
-    # a 1x1 block's is its closed form, and a block whose iterate lost positivity
-    # has none.  A converged block's record is the sweep that met the stop.
-    best = {j: (float(row_sums[b[0] - 1]), 0.0, x, 0) for j, b in enumerate(blocks) if len(b) == 1}
+    # One record per block (rho, gap, bracket, iterate, sweep), at its smallest gap
+    # so far: a 1x1 block's is its closed form, a block whose iterate lost positivity
+    # has none, and a converged block's is the sweep that met the stop.
+    best = {j: (rho1[j], 0.0, (rho1[j], rho1[j]), x, 0) for j in range(r) if sizes[j] == 1}
 
     for k in range(1, cfg.max_iterations + 1):
         if not active:
@@ -214,11 +218,10 @@ def _power_iteration(
                 continue
             if not alpha < np.inf:
                 raise ValueError("spectral radius overflowed float64 in the power method")
-            traces[j].append((alpha - 1.0, beta - 1.0))
             gap = alpha - beta
             met = gap <= tol or gap <= floor * alpha
-            if j not in best or gap < best[j][1] or met:
-                best[j] = ((alpha + beta) / 2 - 1.0, gap, x_new, k)  # a fresh x_new each sweep
+            if j not in best or gap < best[j][1] or met:  # a fresh x_new each sweep
+                best[j] = ((alpha + beta) / 2 - 1.0, gap, (alpha - 1.0, beta - 1.0), x_new, k)
             if met:
                 frozen[lo:hi] = True
             else:
@@ -233,9 +236,9 @@ def _power_iteration(
             raise ZeroIterate(
                 "power method iterate lost positivity (underflow, or input not weakly irreducible)"
             )
-        rho, gap, x_best, k = best[j]
+        rho, gap, bracket, x_best, k = best[j]
         lo, hi = bounds[j]
-        spectra.append(BlockSpectrum(rho, x_best[lo:hi].copy(), k, gap, tuple(traces[j])))
+        spectra.append(BlockSpectrum(rho, x_best[lo:hi].copy(), k, gap, bracket))
         if j in unmet:
             raise NotConverged(
                 f"power method gap {gap:.3e} above tolerance {cfg.tolerance:.3e} "

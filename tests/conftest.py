@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from perronkit import NonnegativeTensor, TensorShape
+from perronkit import NonnegativeTensor, NotConverged, PowerMethodConfig, TensorShape, power_method
 from perronkit import tensor as tensor_module
 from perronkit.examples import four_blocks_tensor, majorization_counterexample_tensor
 
@@ -14,6 +14,16 @@ def all_ones_tensor(order: int, dim: int) -> NonnegativeTensor:
         key: 1.0 for key in itertools.product(range(1, dim + 1), repeat=order)
     }
     return NonnegativeTensor(TensorShape(order, dim), entries)
+
+
+def sweep_spectrum(A: NonnegativeTensor, tolerance: float, k: int):
+    """The power method on A with a budget of k sweeps: its result, or the
+    best record its NotConverged carries.  While the gap falls at every sweep,
+    that record is sweep k's, with sweep k's bracket."""
+    try:
+        return power_method(A, PowerMethodConfig(tolerance, max_iterations=k))
+    except NotConverged as exc:
+        return exc.best
 
 
 def swept(A: NonnegativeTensor) -> NonnegativeTensor:

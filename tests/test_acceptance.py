@@ -42,6 +42,8 @@ from perronkit.verification import (
     matrix_reference,
 )
 
+from conftest import sweep_spectrum
+
 
 def report(number: int, name: str, failures: list[str]) -> None:
     status = "PASS" if not failures else "FAIL (" + "; ".join(failures) + ")"
@@ -202,8 +204,14 @@ def test_criterion_6_property_suite():
             },
         )
         sp = power_method(A, cfg)
-        for alpha, beta in sp.trace:
-            if not (beta <= alpha and beta - cfg.tolerance <= sp.rho <= alpha + cfg.tolerance):
+        for k in range(1, sp.iterations + 1):
+            sweep = sweep_spectrum(A, cfg.tolerance, k)
+            alpha, beta = sweep.bracket
+            if not (
+                sweep.iterations == k
+                and beta <= alpha
+                and beta - cfg.tolerance <= sp.rho <= alpha + cfg.tolerance
+            ):
                 sandwich_ok = False
     if not sandwich_ok:
         failures.append("sandwich violated at some iterate")

@@ -37,7 +37,7 @@ from perronkit.examples import four_blocks_tensor
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import matrix_reference
 
-from conftest import all_ones_tensor
+from conftest import all_ones_tensor, sweep_spectrum
 
 
 def reference_power_method(B, cfg=None):
@@ -47,12 +47,11 @@ def reference_power_method(B, cfg=None):
     m, n = B.order, B.dim
     if n == 1:
         rho = float(B.vals[0]) if B.nnz else 0.0
-        return spectral.BlockSpectrum(rho=rho, vector=np.ones(1), iterations=0, gap=0.0)
+        return spectral.BlockSpectrum(rho, np.ones(1), iterations=0, gap=0.0, bracket=(rho, rho))
 
     A = spectral._plus_identity(B)
     exponent = 1.0 / (m - 1)
     x = np.full(n, 1.0 / n)
-    trace = []
     best = None
 
     for k in range(1, cfg.max_iterations + 1):
@@ -64,7 +63,6 @@ def reference_power_method(B, cfg=None):
         ratios = y / x ** (m - 1)
         alpha = float(ratios.max())
         beta = float(ratios.min())
-        trace.append((alpha - 1.0, beta - 1.0))
         x = y**exponent
         x /= x.sum()
         gap = alpha - beta
@@ -76,7 +74,7 @@ def reference_power_method(B, cfg=None):
                 vector=x,
                 iterations=k,
                 gap=gap,
-                trace=tuple(trace),
+                bracket=(alpha - 1.0, beta - 1.0),
             )
 
     alpha, beta, x, k = best
@@ -85,7 +83,7 @@ def reference_power_method(B, cfg=None):
         vector=x,
         iterations=k,
         gap=alpha - beta,
-        trace=tuple(trace),
+        bracket=(alpha - 1.0, beta - 1.0),
     )
     raise NotConverged(
         f"power method gap {alpha - beta:.3e} above tolerance {cfg.tolerance:.3e} "
@@ -99,7 +97,7 @@ def assert_same_spectrum(got, want):
     assert got.vector.tobytes() == want.vector.tobytes()
     assert got.iterations == want.iterations
     assert got.gap == want.gap
-    assert got.trace == want.trace
+    assert got.bracket == want.bracket
 
 
 def chained_blocks(seed, order, sizes, no_diagonal=()):
@@ -254,10 +252,13 @@ class TestPowerMethod:
         for A in (first_block_tensor(), last_block_tensor(), all_ones_tensor(3, 3)):
             sp = power_method(A, cfg)
             assert sp.gap <= cfg.tolerance
-            for alpha, beta in sp.trace:
+            for k in range(1, sp.iterations + 1):
+                sweep = sweep_spectrum(A, cfg.tolerance, k)
+                assert sweep.iterations == k
+                alpha, beta = sweep.bracket
                 assert beta <= alpha
                 assert beta - cfg.tolerance <= sp.rho <= alpha + cfg.tolerance
-            assert sp.trace[-1][1] - 1e-15 <= sp.rho <= sp.trace[-1][0] + 1e-15
+            assert sp.bracket[1] - 1e-15 <= sp.rho <= sp.bracket[0] + 1e-15
 
     def test_eigen_residual_bound(self):
         cfg = PowerMethodConfig(tolerance=1e-10)
@@ -276,6 +277,32 @@ class TestPowerMethod:
             sp = power_method(A, cfg)
             residual = np.linalg.norm(apply(A, sp.vector) - sp.rho * sp.vector**2)
             assert residual <= 10 * cfg.tolerance
+
+    def test_one_by_one_block_bracket_is_its_radius(self):
+        A = NonnegativeTensor(TensorShape(3, 1), {(1, 1, 1): 2.5})
+        mixed = chained_blocks(3, 3, (1, 3, 1, 2, 1, 4), no_diagonal=(2, 4))
+        P, spectra = block_spectra(mixed)
+        singles = [sp for block, sp in zip(P.blocks, spectra) if len(block) == 1]
+        assert [sp.rho == 0.0 for sp in singles] == [False, True, True]
+        for sp in [power_method(A)] + singles:
+            assert sp.bracket == (sp.rho, sp.rho)
+            assert sp.iterations == 0 and sp.gap == 0.0
+
+    def test_not_converged_best_keeps_its_own_sweep(self):
+        # The record is the first sweep with the smallest gap.  On diag(1, 3) + I
+        # every ratio is exactly 2 or 4 (powers of two), so the gap stays 2 and
+        # the first sweep stays best while the iterate moves on.
+        A = NonnegativeTensor(TensorShape(2, 2), {(1, 1): 1.0, (2, 2): 3.0})
+        cfg = PowerMethodConfig(max_iterations=5)
+        with pytest.raises(NotConverged) as excinfo:
+            power_method(A, cfg)
+        with pytest.raises(NotConverged) as reference:
+            reference_power_method(A, cfg)
+        best = excinfo.value.best
+        assert_same_spectrum(best, reference.value.best)
+        assert best.iterations == 1 and best.bracket == (3.0, 1.0)
+        assert best.vector.tolist() == [1 / 3, 2 / 3]  # sweep 5's is (1/33, 32/33), rounded
+        assert best.bracket[1] <= best.rho <= best.bracket[0]
 
     def test_not_converged_carries_best_iterate(self):
         cfg = PowerMethodConfig(tolerance=1e-14, max_iterations=3)
@@ -410,6 +437,21 @@ class TestCollatzWielandt:
         for bad in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 collatz_wielandt(A, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "x, cause",
+        [
+            ((1.0, 1e-200), "underflowed"),  # (A x^2)_2 / 0 would be inf
+            ((1e-200, 1e-200), "underflowed"),  # 0 / 0 would be nan
+            ((1e200, 1.0), "overflowed"),  # inf / inf would be nan
+        ],
+    )
+    def test_underflowed_power_or_overflowed_ratio_raises(self, x, cause):
+        # Warnings are errors in this suite, so a RuntimeWarning would fail it too.
+        keys = [(1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 2, 2)]
+        A = NonnegativeTensor(TensorShape(3, 2), dict.fromkeys(keys, 1.0))
+        with pytest.raises(ValueError, match=cause):
+            collatz_wielandt(A, np.array(x))
 
 
 class TestPredicates:
@@ -594,6 +636,20 @@ class TestBlockSpectra:
         finally:
             tracemalloc.stop()
         assert peak < 12e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
+
+    def test_peak_memory_when_budget_runs_out(self):
+        # Each block keeps one record, not a bracket per sweep: 30 slow blocks
+        # over 1000 sweeps peaked at 3.4 MB with a per-sweep trace.
+        A = chained_blocks(0, 3, (3,) * 30)
+        A = NonnegativeTensor(A.shape, {k: 1e-4 * v for k, v in A.entries.items()})
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotConverged):
+                block_spectra(A, PowerMethodConfig(max_iterations=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
 
     def test_solve_peak_memory_at_gen_large(self):
         # The sweep layouts of B + I and of the rows of R, padded at this
