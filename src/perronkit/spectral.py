@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .partition import CanonicalPartition, canonical_partition
-from .tensor import NonnegativeTensor, _check_integer, _check_real, apply
+from .tensor import NonnegativeTensor, _check_integer, _check_real, _take_rows, apply
 from .tensor import principal_subtensor  # noqa: F401  (the benchmark's tracer wraps this name)
 
 __all__ = [
@@ -94,35 +94,47 @@ def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]
     return float(ratios.max()), float(ratios.min())
 
 
-def _plus_identity(B: NonnegativeTensor) -> NonnegativeTensor:
-    # B + I as stored entries: 1.0 added to each stored diagonal, a unit entry
-    # where a diagonal is missing.  Shifting inside apply this way rounds
-    # differently from apply(B, x) + x**(m-1) and keeps the printed radii.
-    # One pass over the tail columns, last to first, compares each entry's
-    # tail with (i, ..., i), i its row: diag where they are equal, after where
-    # the tail is not smaller.  B's rows are sorted, so 2i + after is sorted
-    # and a missing diagonal goes where 2i + 1 would.  The power method
-    # sweeps the result many times, so it carries a sweep layout.
-    rows = B.idx[:, 0]
-    diag, after = np.ones(B.nnz, dtype=bool), np.ones(B.nnz, dtype=bool)
-    for col in B.idx.T[:0:-1]:
+def _plus_identity(A: NonnegativeTensor, keep: np.ndarray) -> NonnegativeTensor:
+    """B + I as stored entries, B the entries of A where ``keep`` holds.
+
+    1.0 is added to each diagonal entry of B, and a unit entry goes where a
+    row of B lacks one.  Shifting inside apply this way rounds differently
+    from apply(B, x) + x**(m-1) and keeps the printed radii.  B itself is
+    never built: each column of A is gathered once into the result, 1.0 is
+    added to the stored diagonals in place, and only when a row lacks its
+    diagonal does the gather index become a second array, with a slot for
+    each unit entry.  One pass over A's tail columns, last to first,
+    compares each entry's tail with (i, ..., i), i its row: diagonal where
+    they are equal, after where the tail is not smaller.  A's rows are
+    sorted, so 2i + after is sorted and a missing diagonal goes where
+    2i + 1 would.  The power method sweeps the result many times, so it
+    carries a sweep layout.
+    """
+    if not A.nnz:  # nothing to gather: B + I is the identity tensor
+        idx = np.repeat(np.arange(A.dim), A.order).reshape(A.dim, A.order)
+        return NonnegativeTensor._from_coo(A.shape, idx, np.ones(A.dim), swept=True)
+    rows = A.idx[:, 0]
+    diag, after = keep.copy(), np.ones(A.nnz, dtype=bool)
+    for col in A.idx.T[:0:-1]:
         same = col == rows
         after = (col > rows) | (same & after)
         diag &= same
-    has = np.zeros(B.dim, dtype=bool)
+    at = np.flatnonzero(keep)
+    stored = np.searchsorted(at, np.flatnonzero(diag))  # B's diagonals, by place in B
+    has = np.zeros(A.dim, dtype=bool)
     has[rows[diag]] = True
     new = np.flatnonzero(~has)
-    at = np.searchsorted(2 * rows + after, 2 * new + 1) + np.arange(len(new))
-    old = np.ones(B.nnz + len(new), dtype=bool)  # the slots of B's entries
-    old[at] = False
-    idx = np.empty((len(old), B.order), dtype=np.intp, order="F")
-    for col, out in zip(B.idx.T, idx.T):
-        out[old] = col
-        out[at] = new
-    vals = np.empty(len(old))
-    vals[old] = B.vals + diag
-    vals[at] = 1.0
-    return NonnegativeTensor._from_coo(B.shape, idx, vals, swept=True)
+    if len(new):  # each unit entry takes a slot before B's entry at its place
+        place = np.searchsorted(at, np.searchsorted(2 * rows + after, 2 * new + 1))
+        stored += np.searchsorted(place, stored, side="right")
+        at = np.insert(at, place, 0)  # a unit's slot gathers entry 0, then is overwritten
+        place += np.arange(len(new))
+    idx, vals = _take_rows(A.idx, at), A.vals[at]
+    vals[stored] += 1.0
+    if len(new):
+        idx[place] = new[:, None]
+        vals[place] = 1.0
+    return NonnegativeTensor._from_coo(A.shape, idx, vals, swept=True)
 
 
 def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> BlockSpectrum:
@@ -151,14 +163,15 @@ def _power_iteration(
 ) -> list[BlockSpectrum]:
     # Power method on every block of a partition of [1, n] at once.  D, the
     # entries of A whose indices all lie in one block, is block diagonal, so
-    # one apply on the whole vector advances every block.  D keeps A's labels:
-    # within a row its entries come in the order the block's own sub-tensor
-    # has them (blocks are increasing), so each block sees the same arithmetic
-    # as when iterated alone.  The vector holds the blocks stably sorted by
-    # width, so each width's blocks form one C-ordered (count, width) slab that
-    # one row sum normalises: numpy sums each row as it sums a lone slice.  A
-    # block that meets the tolerance is frozen.  Blocks are numbered in that
-    # layout until the results go back to block order at the end.
+    # one apply of D + I on the whole vector advances every block.  D keeps
+    # A's labels: within a row its entries come in the order the block's own
+    # sub-tensor has them (blocks are increasing), so each block sees the
+    # same arithmetic as when iterated alone.  The vector holds the blocks
+    # stably sorted by width, so each width's blocks form one C-ordered
+    # (count, width) slab that one row sum normalises: numpy sums each row as
+    # it sums a lone slice.  A block that meets the tolerance is frozen.
+    # Blocks are numbered in that layout until the results go back to block
+    # order at the end.
     m, n, r = A.order, A.dim, len(blocks)
     sizes = np.array([len(b) for b in blocks], dtype=np.intp)
     order = np.argsort(sizes, kind="stable")  # the block at each place of the layout
@@ -172,12 +185,22 @@ def _power_iteration(
     rows, inside = block_of[A.idx[:, 0]], np.ones(A.nnz, dtype=bool)
     for col in A.idx.T[1:]:
         inside &= block_of[col] == rows
-    D = A._keep(inside)
+    del rows
 
-    # Closed form for 1x1 blocks: the row of D holds at most the diagonal entry.
-    rho1 = np.bincount(D.idx[:, 0], weights=D.vals, minlength=n)[perm[starts]].tolist()
+    # Closed form for the 1x1 blocks, which lead the layout: of the entries in
+    # such a block's row, at most its diagonal lies inside the block.
+    ones = perm[: np.count_nonzero(sizes == 1)]
+    rho1 = np.zeros(n)
+    if len(ones):
+        lo, hi = np.searchsorted(A.idx[:, 0], [ones, ones + 1])
+        count = hi - lo
+        at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        at = at[inside[at]]
+        rho1[A.idx[at, 0]] = A.vals[at]
+    rho1 = rho1[ones].tolist()
 
-    D = _plus_identity(D)
+    D = _plus_identity(A, inside)  # D + I, D the entries inside a block
+    del inside
     exponent = 1.0 / (m - 1)
     tol, floor = cfg.tolerance, 8 * np.finfo(np.float64).eps  # floor * alpha: rounding floor
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))

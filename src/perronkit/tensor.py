@@ -97,13 +97,9 @@ class NonnegativeTensor:
         return A
 
     def _keep(self, mask: np.ndarray, swept: bool = False) -> NonnegativeTensor:
-        # The entries where mask holds, with swept as in _from_coo.  Each
-        # column is gathered into a Fortran array, so _set copies nothing;
-        # take's clip mode writes into it unbuffered, where raise would not.
+        # The entries where mask holds, with swept as in _from_coo.
         at = np.flatnonzero(mask)
-        idx = np.empty((len(at), self.order), dtype=np.intp, order="F")
-        for col, out in zip(self.idx.T, idx.T):
-            np.take(col, at, out=out, mode="clip")
+        idx = _take_rows(self.idx, at)
         return NonnegativeTensor._from_coo(self.shape, idx, self.vals[at], swept)
 
     def _set(self, shape: TensorShape, idx, vals, swept: bool = False) -> None:
@@ -146,17 +142,15 @@ class NonnegativeTensor:
         while d < m - 1 and n ** (d + 1) <= nnz:
             d += 1
         cols = self.idx.T
-        fused = cols[1]
-        for col in cols[2 : d + 1]:
-            fused = fused * n + col
-        rest = cols[d + 1 :]
         starts = np.searchsorted(cols[0], np.arange(n + 1))
-        rank = np.arange(nnz) - starts[cols[0]]
+        rank = np.arange(nnz)
+        rank -= starts[cols[0]]
         if nnz < _PADDED_MIN_NNZ:
             order = np.argsort(rank, kind="stable")
-            layout = (fused[order], rest[:, order], self.vals[order], cols[0][order], None)
+            fused, rest = _fused(cols[1 : d + 1], n)[order], cols[d + 1 :][:, order]
+            layout = (fused, rest, self.vals[order], cols[0][order], None)
         else:
-            layout = _padded(np.diff(starts), cols[0], rank, fused, n**d, rest, self.vals)
+            layout = _padded(np.diff(starts), cols, rank, d, self.vals)
         for array in layout[:4]:
             array.flags.writeable = False
         return layout
@@ -175,6 +169,16 @@ class NonnegativeTensor:
 
     def __repr__(self) -> str:
         return f"NonnegativeTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
+
+
+def _take_rows(idx: np.ndarray, at: np.ndarray) -> np.ndarray:
+    # The rows of idx at the positions in at, gathered one column at a time
+    # into a Fortran array, so _set copies nothing; take's clip mode writes
+    # into it unbuffered, where raise would not.
+    out = np.empty((len(at), idx.shape[1]), dtype=np.intp, order="F")
+    for col, column in zip(idx.T, out.T):
+        np.take(col, at, out=column, mode="clip")
+    return out
 
 
 def _int_indices(values: Iterable) -> np.ndarray:
@@ -227,12 +231,15 @@ def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray,
     Rows that already strictly increase, as :func:`write_tensor` writes them,
     are neither sorted nor compared for duplicates: their order proves both.
     """
-    base = np.subtract(idx, 1, order="F")  # the order _set keeps without a copy
-    # Made 0-based and read as unsigned, an index below 1 is at least 2^63,
-    # and intp.min wraps to intp.max >= n: every bad index fails one test on
-    # the contiguous copy.  Only then is the caller's (maybe strided) idx
-    # scanned, for the first bad index in row-major order.
-    if base.size and base.view(np.uintp).max() >= n:
+    return _sorted_coo(idx, vals, _checked_order(n, idx, vals))
+
+
+def _checked_order(n: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray | None:
+    # Every check of _checked_coo, run on the caller's (maybe strided) arrays
+    # with no idx-sized copy: None when the rows strictly increase, else the
+    # permutation that sorts them.  Errors name the first bad index in
+    # row-major order.
+    if len(idx) and any(col.min() < 1 or col.max() > n for col in idx.T):
         r, c = np.argwhere((idx < 1) | (idx > n))[0]
         key = tuple(idx[r].tolist())
         raise ValueError(f"index {idx[r, c]} out of range [1, {n}] in tuple {key}")
@@ -242,28 +249,44 @@ def _checked_coo(n: int, idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(
             f"entry {tuple(idx[r].tolist())} has invalid value {vals[r]}; must be finite and >= 0"
         )
-    idx = base
-    if not _increasing(n, idx):
-        order = np.lexsort(idx.T[::-1])
-        idx, vals = idx[order], vals[order]
-        if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
-            raise ValueError("two index tuples name the same entry")
+    if _increasing(n, idx):
+        return None
+    order = np.lexsort(idx.T[::-1])
+    same = np.ones(len(order) - 1, dtype=bool)
+    for col in idx.T:
+        col = col[order]
+        same &= col[1:] == col[:-1]
+    if same.any():
+        raise ValueError("two index tuples name the same entry")
+    return order
+
+
+def _sorted_coo(idx: np.ndarray, vals: np.ndarray, order: np.ndarray | None) -> tuple:
+    # The rows that _checked_order passed, made 0-based and taken in its order
+    # (None: as they are), with zero values dropped.  idx comes out in the
+    # Fortran order _set keeps without a copy, vals as a new array.
     keep = vals > 0
-    if keep.all():  # idx is a new array already; vals may be a view of the caller's
-        return idx, vals.copy()
-    return idx[keep], vals[keep]
+    if order is None and keep.all():
+        return np.subtract(idx, 1, order="F"), vals.copy()
+    at = np.flatnonzero(keep) if order is None else order[keep[order]]
+    idx = _take_rows(idx, at)
+    idx -= 1
+    return idx, vals[at]
 
 
 def _increasing(n: int, idx: np.ndarray) -> bool:
-    # Whether the rows of idx, 0-based indices below n, strictly increase in
+    # Whether the rows of idx, 1-based indices in [1, n], strictly increase in
     # lexicographic order.  Where n^m fits in intp (n^64 never does for
-    # n >= 2), each row fuses into its base-n number; otherwise the first
-    # nonzero of each row difference must be positive.
+    # n >= 2), each row fuses into its 0-based base-n number, built in place
+    # in one array; otherwise the first nonzero of each row difference must
+    # be positive.
     m = idx.shape[1]
     if n ** min(m, 64) <= np.iinfo(np.intp).max:
-        key = idx[:, 0]
+        key = idx[:, 0] - 1
         for col in idx.T[1:]:
-            key = key * n + col
+            key *= n
+            key += col
+            key -= 1
         return bool(np.all(key[1:] > key[:-1]))
     diff = idx[1:] - idx[:-1]
     first = np.take_along_axis(diff, np.argmax(diff != 0, axis=1)[:, None], axis=1)
@@ -320,7 +343,18 @@ def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:
     return sums[rows]
 
 
-def _padded(counts, rows, rank, fused, pad, rest, vals) -> tuple:
+def _fused(cols: np.ndarray, n: int) -> np.ndarray:
+    # c1*n^(d-1) + ... + cd for the d columns given: each entry's index into
+    # apply's table.  At d = 1 that is the column itself; otherwise it is
+    # built in place in one new array.
+    fused = cols[0] if len(cols) == 1 else cols[0].copy()
+    for col in cols[1:]:
+        fused *= n
+        fused += col
+    return fused
+
+
+def _padded(counts, cols, rank, d, vals) -> tuple:
     # The padded, length-grouped layout of a swept tensor: ELLPACK cut into
     # groups of rows of similar length, as in SELL-C-sigma.  The rows that
     # hold entries, sorted by count (descending, stable), are cut where
@@ -330,14 +364,18 @@ def _padded(counts, rows, rank, fused, pad, rest, vals) -> tuple:
     # one block row at a time, so each column adds its terms in idx order,
     # as bincount does, and the padding below them adds +0.0.  An (L, 1)
     # block numpy sums pairwise, so a one-row group is padded to width 2.
-    # Padded slots read table slot pad and x slot n, the zeros apply
+    # Padded slots read table slot n^d and x slot n, the zeros apply
     # appends, never a real product: an overflowed product that no entry
     # reads would turn inf * 0 into NaN.  Every row pads to less than twice
     # its count (a one-row group to twice), so the layout holds at most
-    # 2 nnz slots.  Returns (fused, rest, vals, rows, groups): groups lists
-    # the blocks' (L, w), and rows maps each row to its column sum, a row
-    # with no entries to the zero after the last.
-    n = len(counts)
+    # 2 nnz slots.  cols are idx's columns, d the depth of the fused index;
+    # rank (each entry's place in its row) is overwritten with the entries'
+    # slots, and the fused index lives only until it is scattered, so each
+    # padded array is allocated beside at most one nnz-sized temporary.
+    # Returns (fused, rest, vals, rows, groups): groups lists the blocks'
+    # (L, w), and rows maps each row to its column sum, a row with no
+    # entries to the zero after the last.
+    n, rows = len(counts), cols[0]
     order = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
     level = np.frexp(counts[order])[1]  # floor(log2 count) + 1
     first = np.flatnonzero(np.diff(level, prepend=0))  # each group's first row
@@ -352,10 +390,13 @@ def _padded(counts, rows, rank, fused, pad, rest, vals) -> tuple:
     head[order] = (np.cumsum(sizes) - sizes)[group] + j
     step[order] = widths[group]
     column[order] = (np.cumsum(widths) - widths)[group] + j
-    slot = head[rows] + rank * step[rows]
+    slot = rank
+    slot *= step[rows]
+    slot += head[rows]
     size = int(sizes.sum())
-    padded_fused = np.full(size, pad, dtype=np.intp)
-    padded_fused[slot] = fused
+    padded_fused = np.full(size, n**d, dtype=np.intp)
+    padded_fused[slot] = _fused(cols[1 : d + 1], n)
+    rest = cols[d + 1 :]
     padded_rest = np.full((len(rest), size), n, dtype=np.intp)
     padded_rest[:, slot] = rest
     padded_vals = np.zeros(size)
@@ -433,7 +474,10 @@ def read_tensor(path) -> NonnegativeTensor:
     decimal literals.  Blank lines are skipped.  Duplicate index tuples are
     an error, even when a value is zero.  Errors name the offending line.
     Lines are those of ``str.splitlines`` on the file read in text mode, and
-    tokens those of ``str.split``.
+    tokens those of ``str.split``.  Every check runs on numpy's parsed rows
+    while the text is still held, so a bad entry reaches the line scan with
+    the same bytes and the file is read once; only then is the text dropped
+    and the stored arrays built.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -444,9 +488,12 @@ def read_tensor(path) -> NonnegativeTensor:
     if any(map(raw.__contains__, _LINE_BREAKS)):
         raw = raw.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
     try:
-        return _parse_tensor(raw)
+        shape, rows, order = _parse_tensor(raw)
     except ValueError:
-        pass
+        pass  # the scan runs after this block, once the traceback has freed the parsed rows
+    else:
+        del raw
+        return NonnegativeTensor._from_coo(shape, *_sorted_coo(rows["i"], rows["v"], order))
     # The line scan defines the format: it names the bad line, or reads the
     # rare valid syntax numpy does not parse, such as a value written 1_0.
     return _scan_tensor(raw)
@@ -468,10 +515,11 @@ def _header(lines: Iterable[str]) -> tuple[TensorShape, int]:
     raise ValueError("empty tensor file: missing 'm n' header")
 
 
-def _parse_tensor(raw: bytes) -> NonnegativeTensor:
-    # One np.loadtxt call over the lines after the header, and array checks;
-    # raw is ASCII with "\n" its only line break.  Raises ValueError on any
-    # input that is malformed or that numpy does not parse as the scan would.
+def _parse_tensor(raw: bytes) -> tuple[TensorShape, np.ndarray, np.ndarray | None]:
+    # One np.loadtxt call over the lines after the header, and every check of
+    # _checked_order; raw is ASCII with "\n" its only line break.  Returns the
+    # shape, the parsed rows and their order.  Raises ValueError on any input
+    # that is malformed or that numpy does not parse as the scan would.
     fh = io.BytesIO(raw)  # shares raw's buffer; iterating it yields lines
     shape, _ = _header(map(bytes.decode, fh))
     m, body = shape.order, fh.tell()
@@ -482,11 +530,11 @@ def _parse_tensor(raw: bytes) -> NonnegativeTensor:
     if raw.find(b"#", body) >= 0:
         raw, body = _COMMENT_LINE.sub(b"", raw[body:]), 0
         fh = io.BytesIO(raw)
-    if not _NONBLANK.search(raw, body):
-        return NonnegativeTensor(shape)
     dtype = [("i", np.intp, (m,)), ("v", np.float64)]
+    if not _NONBLANK.search(raw, body):
+        return shape, np.zeros(0, dtype), None
     rows = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
-    return NonnegativeTensor._from_coo(shape, *_checked_coo(shape.dim, rows["i"], rows["v"]))
+    return shape, rows, _checked_order(shape.dim, rows["i"], rows["v"])
 
 
 def _scan_tensor(raw: bytes) -> NonnegativeTensor:

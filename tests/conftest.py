@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,16 @@ def all_ones_tensor(order: int, dim: int) -> NonnegativeTensor:
         key: 1.0 for key in itertools.product(range(1, dim + 1), repeat=order)
     }
     return NonnegativeTensor(TensorShape(order, dim), entries)
+
+
+def peak_bytes(fn, *args):
+    """fn(*args) run under tracemalloc: the peak bytes it allocated, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def sweep_spectrum(A: NonnegativeTensor, tolerance: float, k: int):

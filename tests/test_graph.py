@@ -1,7 +1,5 @@
 """Majorization matrix, SCC condensation and irreducibility."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +18,8 @@ from perronkit import (
 )
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import dense_view, enumerate_index_class
+
+from conftest import peak_bytes
 
 
 def entry_digraph_strongly_connected(A: NonnegativeTensor) -> bool:
@@ -268,11 +268,6 @@ class TestTailCondensation:
         ring = np.arange(n)
         idx = np.column_stack([ring, (ring + 1) % n, (ring + 1) % n])
         A = NonnegativeTensor._from_coo(TensorShape(3, n), idx, np.ones(n))
-        tracemalloc.start()
-        try:
-            P = canonical_partition(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, P = peak_bytes(canonical_partition, A)
         assert P.blocks == (tuple(range(1, n + 1)),)
         assert peak < 10e6, f"canonical_partition peaked at {peak / 1e6:.2f} MB"

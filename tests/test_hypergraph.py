@@ -11,7 +11,6 @@ exact at sizes where the dense oracles of ``verification.py`` cannot run.
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from perronkit import (
     classify,
     positive_perron_vector,
 )
+
+from conftest import peak_bytes
 
 
 def hypergraph_tensor(n: int, edges) -> NonnegativeTensor:
@@ -62,12 +63,7 @@ class TestLargePartition:
         n = 30_000
         A = tight_cycle(n)
         assert A.nnz == 180_000
-        tracemalloc.start()
-        try:
-            P = canonical_partition(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, P = peak_bytes(canonical_partition, A)
         assert peak < 16e6, f"canonical_partition peaked at {peak / 1e6:.2f} MB"
         assert P.blocks == (tuple(range(1, n + 1)),)
         assert P.genuine == (True,) and P.s == 0

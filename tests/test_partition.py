@@ -1,7 +1,6 @@
 """Canonical partition, genuineness and the partition auditor."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from perronkit.generator import GeneratorSpec, generate, generate_not_strong
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import matrix_reference
 
-from conftest import all_ones_tensor
+from conftest import all_ones_tensor, peak_bytes
 from test_hypergraph import complete_union, tight_cycle
 
 
@@ -406,12 +405,7 @@ class TestVerifyPartition:
         # 81 MB (numpy 2.4, Python 3.11); the edge list needs a few MB.
         A = tight_cycle(3000)
         P = canonical_partition(A)
-        tracemalloc.start()
-        try:
-            verdict = verify_partition(A, P)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, verdict = peak_bytes(verify_partition, A, P)
         assert verdict
         assert peak < 8e6, f"verify_partition peaked at {peak / 1e6:.2f} MB"
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +36,33 @@ from perronkit.examples import four_blocks_tensor
 from perronkit.selfcheck import random_tensor
 from perronkit.verification import matrix_reference
 
-from conftest import all_ones_tensor, sweep_spectrum
+from conftest import all_ones_tensor, peak_bytes, sweep_spectrum
+
+
+def reference_plus_identity(B):
+    # B + I built from B itself, the two-step construction the power method
+    # used before _plus_identity took A and a mask: the reference it must
+    # equal bit for bit as _plus_identity(A, keep) == this(A._keep(keep)).
+    rows = B.idx[:, 0]
+    diag, after = np.ones(B.nnz, dtype=bool), np.ones(B.nnz, dtype=bool)
+    for col in B.idx.T[:0:-1]:
+        same = col == rows
+        after = (col > rows) | (same & after)
+        diag &= same
+    has = np.zeros(B.dim, dtype=bool)
+    has[rows[diag]] = True
+    new = np.flatnonzero(~has)
+    at = np.searchsorted(2 * rows + after, 2 * new + 1) + np.arange(len(new))
+    old = np.ones(B.nnz + len(new), dtype=bool)  # the slots of B's entries
+    old[at] = False
+    idx = np.empty((len(old), B.order), dtype=np.intp, order="F")
+    for col, out in zip(B.idx.T, idx.T):
+        out[old] = col
+        out[at] = new
+    vals = np.empty(len(old))
+    vals[old] = B.vals + diag
+    vals[at] = 1.0
+    return NonnegativeTensor._from_coo(B.shape, idx, vals, swept=True)
 
 
 def reference_power_method(B, cfg=None):
@@ -49,7 +74,7 @@ def reference_power_method(B, cfg=None):
         rho = float(B.vals[0]) if B.nnz else 0.0
         return spectral.BlockSpectrum(rho, np.ones(1), iterations=0, gap=0.0, bracket=(rho, rho))
 
-    A = spectral._plus_identity(B)
+    A = spectral._plus_identity(B, np.ones(B.nnz, dtype=bool))
     exponent = 1.0 / (m - 1)
     x = np.full(n, 1.0 / n)
     best = None
@@ -358,7 +383,43 @@ class TestPowerMethod:
             expected = dict(A.entries)
             for i in range(1, n + 1):
                 expected[(i,) * m] = expected.get((i,) * m, 0.0) + 1.0
-            assert _plus_identity(A) == NonnegativeTensor(A.shape, expected)
+            everything = np.ones(A.nnz, dtype=bool)
+            assert _plus_identity(A, everything) == NonnegativeTensor(A.shape, expected)
+
+    def test_one_step_shift_equals_the_two_step_reference(self):
+        # _plus_identity(A, keep) never builds B = A._keep(keep), yet gives
+        # reference_plus_identity(B) bit for bit: random masks over tensors of
+        # orders 2-5 whose diagonals are each stored or not, so that rows of B
+        # lack their diagonal, block masks with 1x1 blocks with and without a
+        # diagonal, and the empty mask.
+        rng = np.random.default_rng(35)
+        seen = set()
+        for _ in range(300):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(1, 13))
+            entries = dict(random_tensor(rng, m, n, nnz=int(rng.integers(0, 6 * n))).entries)
+            for i in range(1, n + 1):
+                if rng.random() < 0.5:
+                    entries[(i,) * m] = float(1 - rng.random())
+                else:
+                    entries.pop((i,) * m, None)
+            A = NonnegativeTensor(TensorShape(m, n), entries)
+            block = rng.integers(0, n // 2 + 1, n)  # many blocks are 1x1
+            labels = block[A.idx]
+            in_block = np.all(labels == labels[:, :1], axis=1)
+            diagonals = A.idx[np.all(A.idx == A.idx[:, :1], axis=1), 0]
+            alone = np.flatnonzero(np.bincount(block)[block] == 1)
+            seen |= {("1x1", bool(i in diagonals)) for i in alone}
+            masks = (np.zeros(A.nnz, bool), np.ones(A.nnz, bool), rng.random(A.nnz) < 0.5, in_block)
+            for keep in masks:
+                B = A._keep(keep)
+                got, want = spectral._plus_identity(A, keep), reference_plus_identity(B)
+                assert got == want and got.vals.tobytes() == want.vals.tobytes()
+                assert got._swept and got.idx.flags.f_contiguous
+                has = np.zeros(n, dtype=bool)
+                has[B.idx[np.all(B.idx == B.idx[:, :1], axis=1), 0]] = True
+                seen |= {("empty", not keep.any()), ("lacks", not has.all()), ("has", has.any())}
+        names = ("empty", "lacks", "has", "1x1")
+        assert seen == {(name, flag) for name in names for flag in (True, False)}
 
     def test_overflowed_bracket_raises_at_first_sweep(self, monkeypatch):
         calls = counting_apply(monkeypatch)
@@ -626,47 +687,41 @@ class TestBlockSpectra:
         assert len(calls) == 2
 
     def test_peak_memory_at_gen_large(self):
-        # Bounds allocation, not time: B + I is built by inserting the missing
-        # diagonals into D's sorted rows, with no second sort of D.
+        # Bounds allocation, not time: B + I is built straight from A and the
+        # in-block mask, so D never exists beside it, and the block labels and
+        # mask are gone before its sweep layout is built (6.18 MB; 9.60 MB
+        # with D and the labels alive).
         A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
-        tracemalloc.start()
-        try:
-            block_spectra(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
+        peak, _ = peak_bytes(block_spectra, A)
+        assert peak < 7e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
 
     def test_peak_memory_when_budget_runs_out(self):
         # Each block keeps one record, not a bracket per sweep: 30 slow blocks
         # over 1000 sweeps peaked at 3.4 MB with a per-sweep trace.
         A = chained_blocks(0, 3, (3,) * 30)
         A = NonnegativeTensor(A.shape, {k: 1e-4 * v for k, v in A.entries.items()})
-        tracemalloc.start()
-        try:
+
+        def run_out():
             with pytest.raises(NotConverged):
                 block_spectra(A, PowerMethodConfig(max_iterations=1000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak, _ = peak_bytes(run_out)
         assert peak < 1e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
 
     def test_solve_peak_memory_at_gen_large(self):
         # The sweep layouts of B + I and of the rows of R, padded at this
         # size, add to the solve's allocation; they are built at the first
-        # sweep, once the temporaries that built each tensor are gone.
+        # sweep, once the temporaries that built each tensor are gone, and
+        # each padded array beside one nnz-sized temporary at most (7.22 MB;
+        # 9.60 MB beside three).
         A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
-        tracemalloc.start()
-        try:
-            positive_perron_vector(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 13e6, f"positive_perron_vector peaked at {peak / 1e6:.2f} MB"
+        peak, _ = peak_bytes(positive_perron_vector, A)
+        assert peak < 8e6, f"positive_perron_vector peaked at {peak / 1e6:.2f} MB"
 
     def test_solve_derives_fortran_ordered_tensors(self, monkeypatch):
-        # D, B + I and A_R are built column by column, so _set's
-        # asfortranarray gets each idx already Fortran-ordered and copies none.
+        # B + I and A_R are built column by column, so _set's asfortranarray
+        # gets each idx already Fortran-ordered and copies none.  D, the
+        # in-block entries, is never built: B + I comes straight from A.
         A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
         seen = []
 
@@ -687,7 +742,7 @@ class TestBlockSpectra:
         D = int((labels == labels[:, :1]).all(axis=1).sum())
         diagonals = int((A.idx == A.idx[:, :1]).all(axis=1).sum())
         rows_of_R = int((labels[:, 0] < P.s).sum())
-        assert seen == [(D, True), (D + A.dim - diagonals, True), (rows_of_R, True)]
+        assert seen == [(D + A.dim - diagonals, True), (rows_of_R, True)]
 
     def test_block_order_matches_partition(self, four_blocks):
         P, spectra = block_spectra(four_blocks)

@@ -30,7 +30,7 @@ from perronkit.selfcheck import random_tensor
 from perronkit.tensor import _checked_coo, _scan_tensor
 from perronkit.verification import brute_force_apply, dense_view
 
-from conftest import all_ones_tensor, reference_apply, swept, swept_layouts
+from conftest import all_ones_tensor, peak_bytes, reference_apply, swept, swept_layouts
 
 
 class TestConstruction:
@@ -278,12 +278,7 @@ class TestApply:
         x = np.full(n, 0.5)
         for S in swept_layouts(A):
             assert fused_depth(S) == 1  # checked first: an n^2 table would be 3.2 GB
-            tracemalloc.start()
-            try:
-                y = apply(S, x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, y = peak_bytes(apply, S, x)
             assert peak < 10 * x.nbytes
             assert y.tobytes() == reference_apply(A, x).tobytes()
 
@@ -427,12 +422,7 @@ class TestApply:
             fused = S._sweep_layout[0]
             assert not fused.flags.writeable
             apply(S, x)
-            tracemalloc.start()
-            try:
-                apply(S, x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, _ = peak_bytes(apply, S, x)
             bound = (1.5 + copies) * fused.nbytes
             assert peak < bound, f"apply peaked at {peak} bytes, index {fused.nbytes}"
 
@@ -886,24 +876,77 @@ class TestReaderMemory:
     @staticmethod
     def read_peak(path) -> tuple[int, str]:
         # The peak, and the error message or "" when the read succeeds.
-        tracemalloc.start()
-        try:
-            read_tensor(path)
-            error = ""
-        except ValueError as exc:
-            error = str(exc)
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        return peak, error
+        def read():
+            try:
+                read_tensor(path)
+            except ValueError as exc:
+                return str(exc)
+            return ""
+
+        return peak_bytes(read)
 
     def test_generated_file(self, tmp_path, gen_large_text):
-        # 14.7 MB; 21.4 MB when the fast path split the text into a list of
-        # lines and sorted the rows, 25.5 MB when it copied the body text twice.
+        # 10.2 MB: the checks run beside the text and numpy's rows, and the
+        # stored arrays are built once the text is gone.  14.7 MB when the
+        # 0-based copy was made beside the text, 21.4 MB when the fast path
+        # split the text into a list of lines and sorted the rows, 25.5 MB
+        # when it copied the body text twice.
         path = tmp_path / "gen.tns"
         path.write_text(gen_large_text)
         peak, error = self.read_peak(path)
-        assert not error and peak < 15.5e6
+        assert not error and peak < 11e6
+
+    def test_reversed_rows(self, tmp_path, gen_large_text):
+        # Rows out of order are sorted by a permutation and compared for
+        # duplicates one column at a time, beside the text: 12.3 MB, where a
+        # sorted copy of the 0-based rows beside the text peaked at 19.5 MB.
+        header, *lines = gen_large_text.splitlines()
+        path = tmp_path / "reversed.tns"
+        path.write_text("\n".join([header, *reversed(lines)]) + "\n")
+        peak, error = self.read_peak(path)
+        assert not error and peak < 14e6
+        ordered = tmp_path / "gen.tns"
+        ordered.write_text(gen_large_text)
+        assert read_tensor(path) == read_tensor(ordered)
+
+    @pytest.mark.parametrize(
+        "last, error, bound",
+        [
+            ("1 1 121 0.5", "index 121 out of range [1, 120]", 11e6),
+            ("2 2 2 -0.5", "value must be a finite nonnegative number", 11e6),
+            ("1 1 1 0.5", "duplicate index tuple (1, 1, 1)", 14e6),  # sorted as reversed rows are
+        ],
+        ids=["out-of-range", "negative", "duplicate"],
+    )
+    def test_bad_entry_that_numpy_parses(
+        self, tmp_path, gen_large_text, monkeypatch, last, error, bound
+    ):
+        # numpy parses the bad last line, and only the checks on its rows
+        # reject it.  They run while the text is held, so the scan names the
+        # line from the same bytes and the file is opened once.  Up to the
+        # scan the read peaks as a good read does, and by then only the text
+        # is left; the scan's own peak is test_bad_last_line's, so tracing
+        # stops where the scan starts.
+        opened, traced = [], []
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        def scan(raw):
+            traced.append(tracemalloc.get_traced_memory())
+            tracemalloc.stop()
+            return _scan_tensor(raw)
+
+        monkeypatch.setattr(tensor_module, "open", spy, raising=False)
+        monkeypatch.setattr(tensor_module, "_scan_tensor", scan)
+        path = tmp_path / "bad.tns"
+        path.write_text(gen_large_text + last + "\n")
+        with pytest.raises(ValueError) as exc:
+            peak_bytes(read_tensor, path)
+        assert str(exc.value) == f"line 145833: {error}" and opened == [path]
+        [(current, peak)] = traced
+        assert current < 1.1 * len(gen_large_text) and peak < bound
 
     def test_bad_last_line(self, tmp_path, gen_large_text):
         # The scan's own peak: the fast path's arrays are gone before it starts,
