@@ -121,9 +121,12 @@ def _tail_edges(A: NonnegativeTensor, mask: np.ndarray) -> np.ndarray:
     # flatnonzero reads the table's keys back in order.  The gather indices
     # and heads are freed before the sort, and the keys before the
     # condensation, so neither peaks above the 2-D gathers they replaced.
-    n, (first, *tails) = A.dim, A.idx.T
+    # With no entry in mask there is no edge, and no column is read.
+    n, tails = A.dim, A.idx.T[1:]
     at = np.flatnonzero(mask)
-    heads = first[at] * n
+    if not len(at):
+        return at
+    heads = A.idx[at, 0] * n
     if n * n <= len(tails) * len(at):
         table = np.zeros(n * n, dtype=bool)
         for col in tails:

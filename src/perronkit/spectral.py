@@ -94,37 +94,45 @@ def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]
     return float(ratios.max()), float(ratios.min())
 
 
-def _plus_identity(A: NonnegativeTensor, keep: np.ndarray) -> NonnegativeTensor:
-    """B + I as stored entries, B the entries of A where ``keep`` holds.
+def _plus_identity(
+    A: NonnegativeTensor, block_of: np.ndarray
+) -> tuple[NonnegativeTensor, np.ndarray]:
+    """D + I as stored entries, and D's stored diagonal at each row (0.0 where none).
 
-    1.0 is added to each diagonal entry of B, and a unit entry goes where a
-    row of B lacks one.  Shifting inside apply this way rounds differently
-    from apply(B, x) + x**(m-1) and keeps the printed radii.  B itself is
+    D is the entries of A whose indices all carry one label of ``block_of``.
+    1.0 is added to each diagonal entry of D, and a unit entry goes where a
+    row of D lacks one.  Shifting inside apply this way rounds differently
+    from apply(D, x) + x**(m-1) and keeps the printed radii.  D itself is
     never built: each column of A is gathered once into the result, 1.0 is
     added to the stored diagonals in place, and only when a row lacks its
     diagonal does the gather index become a second array, with a slot for
-    each unit entry.  One pass over A's tail columns, last to first,
-    compares each entry's tail with (i, ..., i), i its row: diagonal where
-    they are equal, after where the tail is not smaller.  A's rows are
-    sorted, so 2i + after is sorted and a missing diagonal goes where
-    2i + 1 would.  The power method sweeps the result many times, so it
-    carries a sweep layout.
+    each unit entry.  One pass over A's tail columns, last to first, marks
+    the entries inside a block and compares each entry's tail with
+    (i, ..., i), i its row: diagonal where they are equal, after where the
+    tail is not smaller.  A diagonal entry lies inside its block, and stored
+    values are positive, so a row lacks its diagonal where ``diagonal`` is 0.
+    A's rows are sorted, so 2i + after is sorted and a missing diagonal goes
+    where 2i + 1 would.  The power method sweeps the result many times, so
+    it carries a sweep layout.
     """
-    if not A.nnz:  # nothing to gather: B + I is the identity tensor
+    diagonal = np.zeros(A.dim)
+    if not A.nnz:  # nothing to gather: D + I is the identity tensor
         idx = np.repeat(np.arange(A.dim), A.order).reshape(A.dim, A.order)
-        return NonnegativeTensor._from_coo(A.shape, idx, np.ones(A.dim), swept=True)
+        return NonnegativeTensor._from_coo(A.shape, idx, np.ones(A.dim), swept=True), diagonal
     rows = A.idx[:, 0]
-    diag, after = keep.copy(), np.ones(A.nnz, dtype=bool)
+    labels, keep = block_of[rows], np.ones(A.nnz, dtype=bool)
+    diag, after = np.ones(A.nnz, dtype=bool), np.ones(A.nnz, dtype=bool)
     for col in A.idx.T[:0:-1]:
+        keep &= block_of[col] == labels
         same = col == rows
         after = (col > rows) | (same & after)
         diag &= same
+    del labels
+    diagonal[rows[diag]] = A.vals[diag]
     at = np.flatnonzero(keep)
-    stored = np.searchsorted(at, np.flatnonzero(diag))  # B's diagonals, by place in B
-    has = np.zeros(A.dim, dtype=bool)
-    has[rows[diag]] = True
-    new = np.flatnonzero(~has)
-    if len(new):  # each unit entry takes a slot before B's entry at its place
+    stored = np.searchsorted(at, np.flatnonzero(diag))  # D's diagonals, by place in D
+    new = np.flatnonzero(diagonal == 0)
+    if len(new):  # each unit entry takes a slot before D's entry at its place
         place = np.searchsorted(at, np.searchsorted(2 * rows + after, 2 * new + 1))
         stored += np.searchsorted(place, stored, side="right")
         at = np.insert(at, place, 0)  # a unit's slot gathers entry 0, then is overwritten
@@ -134,7 +142,7 @@ def _plus_identity(A: NonnegativeTensor, keep: np.ndarray) -> NonnegativeTensor:
     if len(new):
         idx[place] = new[:, None]
         vals[place] = 1.0
-    return NonnegativeTensor._from_coo(A.shape, idx, vals, swept=True)
+    return NonnegativeTensor._from_coo(A.shape, idx, vals, swept=True), diagonal
 
 
 def power_method(B: NonnegativeTensor, cfg: PowerMethodConfig | None = None) -> BlockSpectrum:
@@ -181,26 +189,10 @@ def _power_iteration(
     pos = np.empty(n, dtype=np.intp)
     pos[perm] = np.arange(n)
     block_of = np.repeat(np.arange(r), sizes)[pos]
-
-    rows, inside = block_of[A.idx[:, 0]], np.ones(A.nnz, dtype=bool)
-    for col in A.idx.T[1:]:
-        inside &= block_of[col] == rows
-    del rows
-
-    # Closed form for the 1x1 blocks, which lead the layout: of the entries in
-    # such a block's row, at most its diagonal lies inside the block.
-    ones = perm[: np.count_nonzero(sizes == 1)]
-    rho1 = np.zeros(n)
-    if len(ones):
-        lo, hi = np.searchsorted(A.idx[:, 0], [ones, ones + 1])
-        count = hi - lo
-        at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
-        at = at[inside[at]]
-        rho1[A.idx[at, 0]] = A.vals[at]
-    rho1 = rho1[ones].tolist()
-
-    D = _plus_identity(A, inside)  # D + I, D the entries inside a block
-    del inside
+    # D + I, D the entries inside a block.  The 1x1 blocks lead the layout, and
+    # such a block's only entry inside it is its diagonal: its closed form.
+    D, rho1 = _plus_identity(A, block_of)
+    rho1 = rho1[perm[: np.count_nonzero(sizes == 1)]].tolist()
     exponent = 1.0 / (m - 1)
     tol, floor = cfg.tolerance, 8 * np.finfo(np.float64).eps  # floor * alpha: rounding floor
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))

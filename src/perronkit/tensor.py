@@ -279,7 +279,9 @@ def _increasing(n: int, idx: np.ndarray) -> bool:
     # lexicographic order.  Where n^m fits in intp (n^64 never does for
     # n >= 2), each row fuses into its 0-based base-n number, built in place
     # in one array; otherwise the first nonzero of each row difference must
-    # be positive.
+    # be positive.  Fewer than two rows are increasing, whatever the order.
+    if len(idx) < 2:
+        return True
     m = idx.shape[1]
     if n ** min(m, 64) <= np.iinfo(np.intp).max:
         key = idx[:, 0] - 1

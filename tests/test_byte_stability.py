@@ -1,8 +1,10 @@
-"""Byte-level pins on CLI output and generator files.
+"""Byte-level pins on CLI output, generator files and block spectra.
 
 The benchmark caches its input files by generator recipe, not by code
-version, and the CLI promises byte-identical stdout.  These pins catch any
-change in either.  They were taken with Python 3.11.7 and numpy 2.4.6; a
+version, and the CLI promises byte-identical stdout; the power method's
+results are pinned on the benchmark's shapes, so a change to its arithmetic
+shows here and not only against a reference.  These pins catch any change
+in any of them.  They were taken with Python 3.11.7 and numpy 2.4.6; a
 different numpy may legitimately draw different random numbers or round a
 last bit differently, so a failure there points at the platform first.
 """
@@ -12,9 +14,10 @@ import shutil
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from perronkit import GeneratorSpec, generate, generate_not_strong, write_tensor
+from perronkit import GeneratorSpec, block_spectra, generate, generate_not_strong, write_tensor
 from perronkit.cli import main
 
 PLATFORM = "pins taken with Python 3.11.7 and numpy 2.4.6"
@@ -94,6 +97,18 @@ GENERATOR_SHA256 = [
     (generate, 7, "f62295136dbafd7ccf3462e78fe9a093d1bd23da113406905f6d01a9dd442032"),
     (generate_not_strong, 7, "d04ce2ee315ff321e2e598720ae3420465a1a5afb23eb0c1ad61eb543de39b03"),
     (generate_not_strong, 8, "4936f82fa97bbb766b0de46d9512866045055b1e1a55e5c53cea595a73395d37"),
+]
+
+
+# The power method's bits on the benchmark's three workload shapes and on a
+# shape whose partition leaves 1x1 blocks: the sha256 of every block's rho,
+# gap, bracket, vector bytes and iteration count, from
+# generate(GeneratorSpec(shape, 1.3, 0.1, 1)).
+SPECTRA_SHA256 = [
+    ((30, 30, 30, 30), "071d4deef36f2e0418e8ff6c6aae44089031c25078237be4ee860cc7384f067f"),
+    ((2,) * 20 + (10,), "c61d77f3fb0f359456a7f48d630b84d853db67ead88493f60dbe12f1183839f7"),
+    ((8, 9, 10, 10), "81c266907c7047ecd6b84f91aa6520237aee1d696ef2203ec07c0368ea87e5b8"),
+    ((1, 1, 3, 1, 4), "eee453e8c31f2954f2ff8a632743cf319e73eaf70adbca55e4a0f58ead8184d0"),
 ]
 
 
@@ -231,6 +246,16 @@ def test_generator_file_bytes(tmp_path, build, seed, digest):
     write_tensor(build(GeneratorSpec(seed=seed, **SPEC)), path)
     got = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == digest, f"{build.__name__} seed {seed} wrote different bytes ({PLATFORM})"
+
+
+@pytest.mark.parametrize("shape, digest", SPECTRA_SHA256)
+def test_block_spectra_bits(shape, digest):
+    h = hashlib.sha256()
+    for sp in block_spectra(generate(GeneratorSpec(shape, 1.3, 0.1, 1)))[1]:
+        h.update(np.array([sp.rho, sp.gap, *sp.bracket]).tobytes())
+        h.update(sp.vector.tobytes())
+        h.update(str(sp.iterations).encode())
+    assert h.hexdigest() == digest, f"block_spectra on blocks {shape} changed ({PLATFORM})"
 
 
 @pytest.mark.parametrize("argv, written, digest", CLI_SHA256, ids=[c[0] for c in CLI_SHA256])

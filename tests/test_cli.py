@@ -410,6 +410,23 @@ def test_module_entry_point(fixture_file):
     assert json.loads(proc.stdout)["rho"] == pytest.approx(3.1253, abs=1e-3)
 
 
+def test_empty_body_at_huge_order_partitions_at_once(tmp_path):
+    # A 16-byte file of order 10^12 with no entries: no step loops over the
+    # order, so the timeout, far above the run's fraction of a second, only
+    # catches a hang.
+    path = tmp_path / "huge.tns"
+    path.write_text("1000000000000 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "perronkit.cli", "partition", str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == '{"blocks": [[1]], "genuine": [true], "s": 0}\n'
+
+
 def test_closed_stdout_pipe_exits_1_quietly(tmp_path):
     # A reader that stops after one line, as `head -1` does.  The 600 lines of
     # the majorization overflow the pipe's buffer, so the write finds it closed.

@@ -41,8 +41,9 @@ from conftest import all_ones_tensor, peak_bytes, sweep_spectrum
 
 def reference_plus_identity(B):
     # B + I built from B itself, the two-step construction the power method
-    # used before _plus_identity took A and a mask: the reference it must
-    # equal bit for bit as _plus_identity(A, keep) == this(A._keep(keep)).
+    # used before _plus_identity took A and the block labels: the reference it
+    # must equal bit for bit as _plus_identity(A, block_of)[0] ==
+    # this(A._keep(in_block)), in_block the entries inside a block.
     rows = B.idx[:, 0]
     diag, after = np.ones(B.nnz, dtype=bool), np.ones(B.nnz, dtype=bool)
     for col in B.idx.T[:0:-1]:
@@ -65,6 +66,23 @@ def reference_plus_identity(B):
     return NonnegativeTensor._from_coo(B.shape, idx, vals, swept=True)
 
 
+def check_plus_identity(A, block_of):
+    # _plus_identity(A, block_of) against the two-step reference on D, the
+    # entries of A inside a block, and its diagonal against D's stored
+    # diagonals; returns D + I and D.
+    labels = block_of[A.idx]
+    D = A._keep(np.all(labels == labels[:, :1], axis=1))
+    on = np.all(D.idx == D.idx[:, :1], axis=1)
+    diagonal = np.zeros(A.dim)
+    diagonal[D.idx[on, 0]] = D.vals[on]
+    got, got_diagonal = spectral._plus_identity(A, block_of)
+    want = reference_plus_identity(D)
+    assert got == want and got.vals.tobytes() == want.vals.tobytes()
+    assert got._swept and got.idx.flags.f_contiguous
+    assert got_diagonal.tobytes() == diagonal.tobytes()
+    return got, D
+
+
 def reference_power_method(B, cfg=None):
     # The block-at-a-time loop that block_spectra replaced, kept as the
     # reference its results must equal bit for bit.  It takes the same stop.
@@ -74,7 +92,7 @@ def reference_power_method(B, cfg=None):
         rho = float(B.vals[0]) if B.nnz else 0.0
         return spectral.BlockSpectrum(rho, np.ones(1), iterations=0, gap=0.0, bracket=(rho, rho))
 
-    A = spectral._plus_identity(B, np.ones(B.nnz, dtype=bool))
+    A = spectral._plus_identity(B, np.zeros(B.dim, dtype=np.intp))[0]
     exponent = 1.0 / (m - 1)
     x = np.full(n, 1.0 / n)
     best = None
@@ -362,8 +380,6 @@ class TestPowerMethod:
             power_method(A)
 
     def test_shift_adds_identity_entrywise(self):
-        from perronkit.spectral import _plus_identity
-
         rng = np.random.default_rng(17)
         corpus = []
         for _ in range(60):
@@ -378,20 +394,25 @@ class TestPowerMethod:
                 for i in rng.choice(np.arange(1, n + 1), size=n // 2, replace=False):
                     entries.pop((int(i),) * m, None)
                 corpus.append(NonnegativeTensor(TensorShape(m, n), entries))
+        # One block keeps every entry of A; singletons keep only the diagonals.
         for A in corpus:
             m, n = A.order, A.dim
-            expected = dict(A.entries)
+            one_block, singletons = dict(A.entries), {}
             for i in range(1, n + 1):
-                expected[(i,) * m] = expected.get((i,) * m, 0.0) + 1.0
-            everything = np.ones(A.nnz, dtype=bool)
-            assert _plus_identity(A, everything) == NonnegativeTensor(A.shape, expected)
+                a = A.entries.get((i,) * m, 0.0)
+                one_block[(i,) * m] = singletons[(i,) * m] = a + 1.0
+            labellings = ((np.zeros(n, np.intp), one_block), (np.arange(n), singletons))
+            for block_of, expected in labellings:
+                got, _ = check_plus_identity(A, block_of)
+                assert got == NonnegativeTensor(A.shape, expected)
 
     def test_one_step_shift_equals_the_two_step_reference(self):
-        # _plus_identity(A, keep) never builds B = A._keep(keep), yet gives
-        # reference_plus_identity(B) bit for bit: random masks over tensors of
-        # orders 2-5 whose diagonals are each stored or not, so that rows of B
-        # lack their diagonal, block masks with 1x1 blocks with and without a
-        # diagonal, and the empty mask.
+        # _plus_identity(A, block_of) never builds D, the entries of A inside
+        # a block, yet gives reference_plus_identity(D) bit for bit, and D's
+        # stored diagonals: one block, all singletons and random labellings
+        # over tensors of orders 2-5 whose diagonals are each stored or not,
+        # so that rows of D lack their diagonal and 1x1 blocks come with and
+        # without one.
         rng = np.random.default_rng(35)
         seen = set()
         for _ in range(300):
@@ -404,20 +425,14 @@ class TestPowerMethod:
                     entries.pop((i,) * m, None)
             A = NonnegativeTensor(TensorShape(m, n), entries)
             block = rng.integers(0, n // 2 + 1, n)  # many blocks are 1x1
-            labels = block[A.idx]
-            in_block = np.all(labels == labels[:, :1], axis=1)
             diagonals = A.idx[np.all(A.idx == A.idx[:, :1], axis=1), 0]
             alone = np.flatnonzero(np.bincount(block)[block] == 1)
             seen |= {("1x1", bool(i in diagonals)) for i in alone}
-            masks = (np.zeros(A.nnz, bool), np.ones(A.nnz, bool), rng.random(A.nnz) < 0.5, in_block)
-            for keep in masks:
-                B = A._keep(keep)
-                got, want = spectral._plus_identity(A, keep), reference_plus_identity(B)
-                assert got == want and got.vals.tobytes() == want.vals.tobytes()
-                assert got._swept and got.idx.flags.f_contiguous
+            for block_of in (np.zeros(n, np.intp), np.arange(n), block):
+                _, D = check_plus_identity(A, block_of)
                 has = np.zeros(n, dtype=bool)
-                has[B.idx[np.all(B.idx == B.idx[:, :1], axis=1), 0]] = True
-                seen |= {("empty", not keep.any()), ("lacks", not has.all()), ("has", has.any())}
+                has[D.idx[np.all(D.idx == D.idx[:, :1], axis=1), 0]] = True
+                seen |= {("empty", not D.nnz), ("lacks", not has.all()), ("has", has.any())}
         names = ("empty", "lacks", "has", "1x1")
         assert seen == {(name, flag) for name in names for flag in (True, False)}
 
@@ -688,9 +703,9 @@ class TestBlockSpectra:
 
     def test_peak_memory_at_gen_large(self):
         # Bounds allocation, not time: B + I is built straight from A and the
-        # in-block mask, so D never exists beside it, and the block labels and
-        # mask are gone before its sweep layout is built (6.18 MB; 9.60 MB
-        # with D and the labels alive).
+        # block labels, so D never exists beside it, and the per-entry labels
+        # and in-block mask are gone before its sweep layout is built (6.18 MB;
+        # 9.60 MB with D and the labels alive).
         A = generate(GeneratorSpec((30,) * 4, 1.3, 0.1, 1))
         peak, _ = peak_bytes(block_spectra, A)
         assert peak < 7e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
