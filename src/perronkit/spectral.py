@@ -97,31 +97,33 @@ def collatz_wielandt(A: NonnegativeTensor, x: np.ndarray) -> tuple[float, float]
 def _plus_identity(
     A: NonnegativeTensor, block_of: np.ndarray
 ) -> tuple[NonnegativeTensor, np.ndarray]:
-    """D + I as stored entries, and D's stored diagonal at each row (0.0 where none).
+    """D + I as stored entries, and A's stored diagonal at each row (0.0 where none).
 
-    D is the entries of A whose indices all carry one label of ``block_of``.
-    1.0 is added to each diagonal entry of D, and a unit entry goes where a
-    row of D lacks one.  Shifting inside apply this way rounds differently
-    from apply(D, x) + x**(m-1) and keeps the printed radii.  D itself is
-    never built: each column of A is gathered once into the result, 1.0 is
-    added to the stored diagonals in place, and only when a row lacks its
-    diagonal does the gather index become a second array, with a slot for
-    each unit entry.  One pass over A's tail columns, last to first, marks
-    the entries inside a block and compares each entry's tail with
-    (i, ..., i), i its row: diagonal where they are equal, after where the
-    tail is not smaller.  A diagonal entry lies inside its block, and stored
-    values are positive, so a row lacks its diagonal where ``diagonal`` is 0.
-    A's rows are sorted, so 2i + after is sorted and a missing diagonal goes
-    where 2i + 1 would.  The power method sweeps the result many times, so
-    it carries a sweep layout.
+    D is the entries of A whose indices all carry one nonnegative label of
+    ``block_of``; a negative label marks a 1x1 block, whose row no sweep
+    reads and D + I leaves empty.  1.0 is added to each diagonal entry of D,
+    and a unit entry goes where another row lacks one.  Shifting inside
+    apply this way rounds differently from apply(D, x) + x**(m-1) and keeps
+    the printed radii.  D itself is never built: each column of A is
+    gathered once into the result, 1.0 is added to the stored diagonals in
+    place, and only when a row lacks its diagonal does the gather index
+    become a second array, with a slot for each unit entry.  One pass over
+    A's tail columns, last to first, marks the entries inside a block and
+    compares each entry's tail with (i, ..., i), i its row: diagonal where
+    they are equal, after where the tail is not smaller.  A diagonal entry
+    lies inside its block, and stored values are positive, so a row lacks
+    its diagonal in D where ``diagonal`` is 0.  A's rows are sorted, so
+    2i + after is sorted and a missing diagonal goes where 2i + 1 would.
+    The power method sweeps the result many times, so it carries a sweep
+    layout.
     """
-    diagonal = np.zeros(A.dim)
-    if not A.nnz:  # nothing to gather: D + I is the identity tensor
-        idx = np.repeat(np.arange(A.dim), A.order).reshape(A.dim, A.order)
-        return NonnegativeTensor._from_coo(A.shape, idx, np.ones(A.dim), swept=True), diagonal
+    diagonal, new = np.zeros(A.dim), np.flatnonzero(block_of >= 0)
+    if not A.nnz:  # nothing to gather: D + I is the identity on the wider blocks' rows
+        idx = np.repeat(new, A.order).reshape(len(new), A.order)
+        return NonnegativeTensor._from_coo(A.shape, idx, np.ones(len(new)), swept=True), diagonal
     rows = A.idx[:, 0]
-    labels, keep = block_of[rows], np.ones(A.nnz, dtype=bool)
-    diag, after = np.ones(A.nnz, dtype=bool), np.ones(A.nnz, dtype=bool)
+    labels = block_of[rows]
+    keep, diag, after = labels >= 0, np.ones(A.nnz, dtype=bool), np.ones(A.nnz, dtype=bool)
     for col in A.idx.T[:0:-1]:
         keep &= block_of[col] == labels
         same = col == rows
@@ -130,8 +132,8 @@ def _plus_identity(
     del labels
     diagonal[rows[diag]] = A.vals[diag]
     at = np.flatnonzero(keep)
-    stored = np.searchsorted(at, np.flatnonzero(diag))  # D's diagonals, by place in D
-    new = np.flatnonzero(diagonal == 0)
+    stored = np.searchsorted(at, np.flatnonzero(diag & keep))  # D's diagonals, by place in D
+    new = new[diagonal[new] == 0]
     if len(new):  # each unit entry takes a slot before D's entry at its place
         place = np.searchsorted(at, np.searchsorted(2 * rows + after, 2 * new + 1))
         stored += np.searchsorted(place, stored, side="right")
@@ -170,8 +172,9 @@ def _power_iteration(
     A: NonnegativeTensor, blocks: Sequence[Sequence[int]], cfg: PowerMethodConfig
 ) -> list[BlockSpectrum]:
     # Power method on every block of a partition of [1, n] at once.  D, the
-    # entries of A whose indices all lie in one block, is block diagonal, so
-    # one apply of D + I on the whole vector advances every block.  D keeps
+    # entries of A whose indices all lie in one block wider than 1, is block
+    # diagonal, so one apply of D + I on the whole vector advances every
+    # block; a 1x1 block is solved in closed form and never swept.  D keeps
     # A's labels: within a row its entries come in the order the block's own
     # sub-tensor has them (blocks are increasing), so each block sees the
     # same arithmetic as when iterated alone.  The vector holds the blocks
@@ -188,11 +191,12 @@ def _power_iteration(
     perm = np.concatenate(blocks).astype(np.intp) - 1  # original index at each position
     pos = np.empty(n, dtype=np.intp)
     pos[perm] = np.arange(n)
-    block_of = np.repeat(np.arange(r), sizes)[pos]
-    # D + I, D the entries inside a block.  The 1x1 blocks lead the layout, and
-    # such a block's only entry inside it is its diagonal: its closed form.
+    ones = np.count_nonzero(sizes == 1)  # the 1x1 blocks lead the layout
+    block_of = np.repeat(np.arange(r) - ones, sizes)[pos]  # negative in a 1x1 block
+    # D + I, D the entries inside a block wider than 1, and A's diagonal: a
+    # 1x1 block's only entry inside it is its diagonal, its closed form.
     D, rho1 = _plus_identity(A, block_of)
-    rho1 = rho1[perm[: np.count_nonzero(sizes == 1)]].tolist()
+    rho1 = rho1[perm[:ones]].tolist()
     exponent = 1.0 / (m - 1)
     tol, floor = cfg.tolerance, 8 * np.finfo(np.float64).eps  # floor * alpha: rounding floor
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))

@@ -249,14 +249,10 @@ def _checked_order(n: int, idx: np.ndarray, vals: np.ndarray) -> np.ndarray | No
         raise ValueError(
             f"entry {tuple(idx[r].tolist())} has invalid value {vals[r]}; must be finite and >= 0"
         )
-    if _increasing(n, idx):
+    if _increasing(idx):
         return None
     order = np.lexsort(idx.T[::-1])
-    same = np.ones(len(order) - 1, dtype=bool)
-    for col in idx.T:
-        col = col[order]
-        same &= col[1:] == col[:-1]
-    if same.any():
+    if not _increasing(idx, order):  # sorted rows that do not strictly increase
         raise ValueError("two index tuples name the same entry")
     return order
 
@@ -274,25 +270,23 @@ def _sorted_coo(idx: np.ndarray, vals: np.ndarray, order: np.ndarray | None) -> 
     return idx, vals[at]
 
 
-def _increasing(n: int, idx: np.ndarray) -> bool:
-    # Whether the rows of idx, 1-based indices in [1, n], strictly increase in
-    # lexicographic order.  Where n^m fits in intp (n^64 never does for
-    # n >= 2), each row fuses into its 0-based base-n number, built in place
-    # in one array; otherwise the first nonzero of each row difference must
-    # be positive.  Fewer than two rows are increasing, whatever the order.
+def _increasing(idx: np.ndarray, order: np.ndarray | None = None) -> bool:
+    # Whether the rows of idx, taken in the given order (None: as they are),
+    # strictly increase in lexicographic order.  One pass per column, until
+    # no pair is tied: a pair of neighbouring rows still tied in the columns
+    # before must not decrease in this one.  Fewer than two rows are
+    # increasing, whatever the order.
     if len(idx) < 2:
         return True
-    m = idx.shape[1]
-    if n ** min(m, 64) <= np.iinfo(np.intp).max:
-        key = idx[:, 0] - 1
-        for col in idx.T[1:]:
-            key *= n
-            key += col
-            key -= 1
-        return bool(np.all(key[1:] > key[:-1]))
-    diff = idx[1:] - idx[:-1]
-    first = np.take_along_axis(diff, np.argmax(diff != 0, axis=1)[:, None], axis=1)
-    return bool(np.all(first > 0))
+    tied = np.ones(len(idx) - 1, dtype=bool)
+    for col in idx.T:
+        col = col if order is None else col[order]
+        if (tied & (col[1:] < col[:-1])).any():
+            return False
+        tied &= col[1:] == col[:-1]
+        if not tied.any():
+            return True
+    return False
 
 
 def apply(A: NonnegativeTensor, x: np.ndarray) -> np.ndarray:

@@ -427,6 +427,39 @@ def test_empty_body_at_huge_order_partitions_at_once(tmp_path):
     assert proc.stdout == '{"blocks": [[1]], "genuine": [true], "s": 0}\n'
 
 
+@pytest.mark.parametrize(
+    "command, stdout",
+    [
+        ("radius", '{"rho": 0.0, "blocks": [[1], [2]], "block_radii": [0.0, 0.0]}'),
+        (
+            "classify",
+            '{"status": "strong", "lambda": 0.0, "blocks": [[1], [2]], '
+            '"genuine": [true, true], "block_radii": [0.0, 0.0]}',
+        ),
+        (
+            "perron",
+            '{"status": "strong", "lambda": 0.0, "vector": [1.0, 1.0], '
+            '"residual": 0.0, "iterations": 0}',
+        ),
+    ],
+    ids=["radius", "classify", "perron"],
+)
+def test_empty_body_at_huge_order_solves_its_1x1_blocks(tmp_path, command, stdout):
+    # Order 10^12, dimension 2, no entries: two 1x1 blocks, each solved in
+    # closed form, so B + I holds no unit entry (2 * 10^12 indices ran out of
+    # memory) and the output is that of "3 2".  The timeout only catches a hang.
+    path = tmp_path / "huge.tns"
+    path.write_text("1000000000000 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "perronkit.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout + "\n")
+
+
 def test_closed_stdout_pipe_exits_1_quietly(tmp_path):
     # A reader that stops after one line, as `head -1` does.  The 600 lines of
     # the majorization overflow the pipe's buffer, so the write finds it closed.

@@ -412,7 +412,9 @@ class TestPowerMethod:
         # stored diagonals: one block, all singletons and random labellings
         # over tensors of orders 2-5 whose diagonals are each stored or not,
         # so that rows of D lack their diagonal and 1x1 blocks come with and
-        # without one.
+        # without one.  A negative label marks a 1x1 block, as the power
+        # method gives it: D + I is what its own label gives, less that row,
+        # and the diagonal is still A's.
         rng = np.random.default_rng(35)
         seen = set()
         for _ in range(300):
@@ -433,6 +435,13 @@ class TestPowerMethod:
                 has = np.zeros(n, dtype=bool)
                 has[D.idx[np.all(D.idx == D.idx[:, :1], axis=1), 0]] = True
                 seen |= {("empty", not D.nnz), ("lacks", not has.all()), ("has", has.any())}
+            marked = block.copy()
+            marked[alone] = -1 - alone
+            got, got_diagonal = spectral._plus_identity(A, marked)
+            full, diagonal = spectral._plus_identity(A, block)
+            want = full._keep(marked[full.idx[:, 0]] >= 0)
+            assert got == want and got.vals.tobytes() == want.vals.tobytes()
+            assert got_diagonal.tobytes() == diagonal.tobytes()
         names = ("empty", "lacks", "has", "1x1")
         assert seen == {(name, flag) for name in names for flag in (True, False)}
 
@@ -721,6 +730,15 @@ class TestBlockSpectra:
                 block_spectra(A, PowerMethodConfig(max_iterations=1000))
 
         peak, _ = peak_bytes(run_out)
+        assert peak < 1e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
+
+    def test_no_entries_at_huge_order_build_no_unit_entries(self):
+        # Order 10^6, dimension 2, no entries: both blocks are 1x1 and solved
+        # in closed form, so B + I holds no unit entry (32 MB with 2 * 10^6
+        # indices of unit entries that no sweep read).
+        A = NonnegativeTensor(TensorShape(10**6, 2))
+        peak, (P, spectra) = peak_bytes(block_spectra, A)
+        assert P.blocks == ((1,), (2,)) and [s.rho for s in spectra] == [0.0, 0.0]
         assert peak < 1e6, f"block_spectra peaked at {peak / 1e6:.2f} MB"
 
     def test_solve_peak_memory_at_gen_large(self):

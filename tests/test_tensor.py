@@ -182,13 +182,14 @@ class TestConstruction:
                     for array in (K.idx, K.vals):
                         assert not array.flags.writeable
 
-    @pytest.mark.parametrize("n", [3, 3_000_000])
+    @pytest.mark.parametrize("n", [2, 3, 3_000_000])
     def test_checked_rows_match_a_python_sort(self, n):
-        # Rows in order, shuffled or repeated, against Python's sort.  At
-        # n = 3e6, n^3 exceeds int64, so order-3 rows fuse into no key.
+        # Rows in order, shuffled or repeated, against Python's sort, at
+        # orders 2-5.  At n = 3e6, n^m exceeds int64 from order 3 on, where
+        # no row fits one base-n integer.
         rng = random.Random(n)
         for _ in range(400):
-            m = rng.choice([2, 3])
+            m = rng.choice([2, 3, 4, 5])
             rows = [tuple(rng.choices([1, 2, n - 1, n], k=m)) for _ in range(rng.randint(0, 6))]
             if rng.random() < 0.5:
                 rows.sort()
@@ -742,7 +743,7 @@ READER_CORPUS = {
     "sorted entries with an adjacent duplicate": "3 2\n1 1 1 0.5\n1 2 1 1\n1 2 1 2\n2 2 2 1\n",
     "one swapped pair": "3 2\n1 1 1 0.5\n1 2 1 1\n1 1 2 2\n2 2 2 1\n",
     "blank and comment lines before the header only": "\n# a\n \t\n  # b\n3 2\n1 1 1 0.5\n",
-    # n^m above the int64 range: no row fuses into one integer key.
+    # n^m above the int64 range: no row fits one base-n integer.
     "sorted entries beyond int64 keys": "3 3000000\n1 1 1 0.5\n1 1 3000000 1\n3000000 1 1 2\n",
     "unsorted entries beyond int64 keys": "3 3000000\n1 1 3000000 1\n3000000 1 1 2\n1 1 1 0.5\n",
     "duplicate entries beyond int64 keys": "3 3000000\n1 1 3000000 1\n1 1 3000000 2\n",
@@ -886,20 +887,35 @@ class TestReaderMemory:
         return peak_bytes(read)
 
     def test_generated_file(self, tmp_path, gen_large_text):
-        # 10.2 MB: the checks run beside the text and numpy's rows, and the
-        # stored arrays are built once the text is gone.  14.7 MB when the
-        # 0-based copy was made beside the text, 21.4 MB when the fast path
-        # split the text into a list of lines and sorted the rows, 25.5 MB
-        # when it copied the body text twice.
+        # 9.5 MB: the checks run beside the text and numpy's rows, the order
+        # check one column at a time with a few booleans per row, and the
+        # stored arrays are built once the text is gone.  10.2 MB when the
+        # order check built a base-n key per row, 14.7 MB when the 0-based
+        # copy was made beside the text, 21.4 MB when the fast path split the
+        # text into a list of lines and sorted the rows, 25.5 MB when it
+        # copied the body text twice.
         path = tmp_path / "gen.tns"
         path.write_text(gen_large_text)
         peak, error = self.read_peak(path)
-        assert not error and peak < 11e6
+        assert not error and peak < 10e6
+
+    def test_order_check_at_a_high_order(self):
+        # About 200 000 ordered order-10 rows with n = 100 (n^10 exceeds
+        # int64), a strided view as loadtxt gives them: the order check
+        # holds a few booleans per row, not the rows' nnz x m differences
+        # (20.8 MB).
+        rng = np.random.default_rng(10)
+        idx = np.unique(rng.integers(1, 101, size=(200_000, 10)), axis=0)
+        rows = np.zeros(len(idx), [("i", np.intp, (10,)), ("v", np.float64)])
+        rows["i"], rows["v"] = idx, 1.5
+        peak, order = peak_bytes(tensor_module._checked_order, 100, rows["i"], rows["v"])
+        assert order is None and peak < 4e6, f"_checked_order peaked at {peak / 1e6:.2f} MB"
 
     def test_reversed_rows(self, tmp_path, gen_large_text):
-        # Rows out of order are sorted by a permutation and compared for
-        # duplicates one column at a time, beside the text: 12.3 MB, where a
-        # sorted copy of the 0-based rows beside the text peaked at 19.5 MB.
+        # Rows out of order are sorted by a permutation, and the order check
+        # on the sorted rows finds no duplicate, beside the text: 12.3 MB,
+        # where a sorted copy of the 0-based rows beside the text peaked at
+        # 19.5 MB.
         header, *lines = gen_large_text.splitlines()
         path = tmp_path / "reversed.tns"
         path.write_text("\n".join([header, *reversed(lines)]) + "\n")
